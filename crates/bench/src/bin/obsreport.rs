@@ -20,7 +20,7 @@ use sidewinder_ir::Program;
 use sidewinder_sensors::SensorTrace;
 use sidewinder_sim::report::energy_table;
 use sidewinder_sim::{
-    attribute_energy, simulate_traced, PhonePowerProfile, SimConfig, TimelineSink,
+    attribute_energy, simulate_traced, FaultSchedule, PhonePowerProfile, SimConfig, TimelineSink,
 };
 use sidewinder_tracegen::ActivityGroup;
 use std::fmt::Write as _;
@@ -89,12 +89,13 @@ fn main() -> ExitCode {
     let (steps, trace) = &jobs[0];
     let strategy = sidewinder_strategy(steps.as_ref());
     let mut sink = TimelineSink::new();
-    match simulate_traced(
+    match simulate_traced::<f64, _>(
         trace,
         steps.as_ref(),
         &strategy,
         &profile,
         &config,
+        &FaultSchedule::none(),
         &mut sink,
     ) {
         Ok(_) => {

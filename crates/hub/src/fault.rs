@@ -149,8 +149,8 @@ impl Default for FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// The empty schedule: injects nothing, leaves every simulation
-    /// bit-identical to the fault-free path.
+    /// The empty schedule: plans no resets, windows or frame faults, so
+    /// a simulation under it runs exactly as a fault-free one.
     pub fn none() -> Self {
         FaultSchedule {
             seed: 0,
@@ -375,6 +375,29 @@ impl FaultPlan {
             .any(|d| d.channel == channel && d.contains(t))
     }
 
+    /// The first instant after `t` at which the hub's fault state can
+    /// change for samples on `channel`: the next reset, hub-downtime edge,
+    /// or dropout edge on that channel. `None` when nothing changes
+    /// before the end of the horizon — always the case for an empty plan.
+    pub fn next_boundary(&self, channel: SensorChannel, t: Micros) -> Option<Micros> {
+        let reset = self.resets[self.resets.partition_point(|&r| r <= t)..]
+            .first()
+            .copied();
+        let downtime = self
+            .downtime
+            .iter()
+            .flat_map(|&(s, e)| [s, e])
+            .find(|&edge| edge > t);
+        let dropout = self
+            .dropouts
+            .iter()
+            .filter(|d| d.channel == channel)
+            .flat_map(|d| [d.start, d.end])
+            .filter(|&edge| edge > t)
+            .min();
+        [reset, downtime, dropout].into_iter().flatten().min()
+    }
+
     /// Draws the fate of the next frame transfer attempt. Corruption is
     /// checked before loss, so one attempt consumes one or two draws —
     /// always in the same order, keeping runs reproducible.
@@ -483,6 +506,28 @@ mod tests {
         assert!(plan.channel_dropped(SensorChannel::AccX, Micros::from_secs(7)));
         assert!(!plan.channel_dropped(SensorChannel::AccY, Micros::from_secs(7)));
         assert!(!plan.channel_dropped(SensorChannel::AccX, Micros::from_secs(10)));
+    }
+
+    #[test]
+    fn next_boundary_is_the_earliest_later_edge_for_the_channel() {
+        let s = Micros::from_secs;
+        let plan = FaultSchedule::seeded(1)
+            .with_hub_reset_at(s(30))
+            .with_hub_downtime(s(10), s(20))
+            .with_dropout(ChannelDropout::new(SensorChannel::Mic, s(5), s(12)))
+            .with_dropout(ChannelDropout::new(SensorChannel::AccX, s(25), s(26)))
+            .plan(s(60), s(2));
+        let mic = |t| plan.next_boundary(SensorChannel::Mic, t);
+        assert_eq!(mic(Micros::ZERO), Some(s(5)));
+        assert_eq!(mic(s(5)), Some(s(10)));
+        assert_eq!(mic(s(10)), Some(s(12)));
+        assert_eq!(mic(s(12)), Some(s(20)));
+        assert_eq!(mic(s(20)), Some(s(30)));
+        assert_eq!(mic(s(30)), Some(s(32)));
+        assert_eq!(mic(s(32)), None);
+        assert_eq!(plan.next_boundary(SensorChannel::AccX, s(20)), Some(s(25)));
+        let empty = FaultSchedule::none().plan(s(60), s(2));
+        assert_eq!(empty.next_boundary(SensorChannel::Mic, Micros::ZERO), None);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! must leave the allocation counter untouched.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
-//! is process-wide.
+//! is process-wide. The count itself is per thread and armed only around
+//! the measured region, so tests running in parallel never charge their
+//! set-up to each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
 use sidewinder_hub::{compile_image, McuCore};
@@ -21,11 +23,28 @@ use sidewinder_sensors::SensorChannel;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations this thread made while armed; `None` while unarmed.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get().map(|n| n + 1)));
+}
+
+/// Runs `measured` and returns its result with the number of heap
+/// allocations it made on the calling thread.
+fn count_allocations<R>(measured: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|count| count.set(Some(0)));
+    let result = measured();
+    let count = ALLOCATIONS.with(|count| count.take()).unwrap_or(0);
+    (result, count)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -34,22 +53,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc_zeroed(layout)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// The steps accelerometer drive: walking bursts (outside the ±2 band,
 /// raising wakes) alternating with rest.
@@ -79,18 +94,16 @@ fn steps_steady_state_performs_zero_allocations() {
     );
 
     // Steady state: the same batch again must not touch the allocator.
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (wakes, allocated) = count_allocations(|| {
+        hub.push_samples(SensorChannel::AccX, &samples)
+            .unwrap()
+            .len()
+    });
     assert!(wakes > 0, "steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "steady-state push_samples allocated {} times over {} samples",
-        after - before,
+        "steady-state push_samples allocated {allocated} times over {} samples",
         samples.len()
     );
 }
@@ -115,18 +128,16 @@ fn steps_with_counters_enabled_performs_zero_allocations() {
 
     hub.push_samples(SensorChannel::AccX, &samples).unwrap();
 
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (wakes, allocated) = count_allocations(|| {
+        hub.push_samples(SensorChannel::AccX, &samples)
+            .unwrap()
+            .len()
+    });
     assert!(wakes > 0, "steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "counter-instrumented push_samples allocated {} times over {} samples",
-        after - before,
+        "counter-instrumented push_samples allocated {allocated} times over {} samples",
         samples.len()
     );
     // The sink really was recording while the allocator stayed idle.
@@ -151,14 +162,13 @@ fn music_per_sample_path_does_not_allocate() {
 
     hub.push_samples(SensorChannel::Mic, &samples).unwrap();
 
-    let before = allocations();
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
-    let after = allocations();
+    let ((), allocated) = count_allocations(|| {
+        hub.push_samples(SensorChannel::Mic, &samples).unwrap();
+    });
     // 8192 samples, 4 zcrVariance windows: two small vectors each.
     assert!(
-        after - before <= 8,
-        "music batch allocated {} times (expected only per-window ZCR scratch)",
-        after - before
+        allocated <= 8,
+        "music batch allocated {allocated} times (expected only per-window ZCR scratch)"
     );
 }
 
@@ -185,32 +195,29 @@ fn mcu_core_performs_zero_allocations_total() {
     std::thread::Builder::new()
         .stack_size(32 << 20)
         .spawn(move || {
-            let before = allocations();
+            let ((), allocated) = count_allocations(|| {
+                let mut core: McuCore<f64, 16_384> = McuCore::new();
+                core.load(&steps_image).unwrap();
+                let mut wakes = 0u64;
+                for &x in &step_samples {
+                    core.push_sample(SensorChannel::AccX.index() as u8, x, &mut |_| wakes += 1)
+                        .unwrap();
+                }
+                assert!(wakes > 0, "steps must wake on the core");
 
-            let mut core: McuCore<f64, 16_384> = McuCore::new();
-            core.load(&steps_image).unwrap();
-            let mut wakes = 0u64;
-            for &x in &step_samples {
-                core.push_sample(SensorChannel::AccX.index() as u8, x, &mut |_| wakes += 1)
+                core.load(&music_image).unwrap();
+                for i in 0..8192 {
+                    core.push_sample(
+                        SensorChannel::Mic.index() as u8,
+                        (i as f64 * 0.785).sin(),
+                        &mut |_| {},
+                    )
                     .unwrap();
-            }
-            assert!(wakes > 0, "steps must wake on the core");
-
-            core.load(&music_image).unwrap();
-            for i in 0..8192 {
-                core.push_sample(
-                    SensorChannel::Mic.index() as u8,
-                    (i as f64 * 0.785).sin(),
-                    &mut |_| {},
-                )
-                .unwrap();
-            }
-            let after = allocations();
+                }
+            });
             assert_eq!(
-                after - before,
-                0,
-                "mcu core allocated {} times across new + load + 16384 samples",
-                after - before
+                allocated, 0,
+                "mcu core allocated {allocated} times across new + load + 16384 samples"
             );
         })
         .unwrap()
@@ -231,18 +238,16 @@ fn f32_pipelines_hold_the_same_allocation_bounds() {
     let samples = step_signal(8192);
     hub.push_samples(SensorChannel::AccX, &samples).unwrap();
 
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (wakes, allocated) = count_allocations(|| {
+        hub.push_samples(SensorChannel::AccX, &samples)
+            .unwrap()
+            .len()
+    });
     assert!(wakes > 0, "f32 steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "f32 steps steady state allocated {} times over {} samples",
-        after - before,
+        "f32 steps steady state allocated {allocated} times over {} samples",
         samples.len()
     );
 
@@ -253,12 +258,11 @@ fn f32_pipelines_hold_the_same_allocation_bounds() {
     let samples: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.785).sin()).collect();
     hub.push_samples(SensorChannel::Mic, &samples).unwrap();
 
-    let before = allocations();
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
-    let after = allocations();
+    let ((), allocated) = count_allocations(|| {
+        hub.push_samples(SensorChannel::Mic, &samples).unwrap();
+    });
     assert!(
-        after - before <= 8,
-        "f32 music batch allocated {} times (expected only per-window ZCR scratch)",
-        after - before
+        allocated <= 8,
+        "f32 music batch allocated {allocated} times (expected only per-window ZCR scratch)"
     );
 }

@@ -180,8 +180,8 @@ impl SweepSpec {
     }
 
     /// Sets the fault schedule every cell runs under (defaults to
-    /// [`FaultSchedule::none`], which leaves all cells bit-identical to
-    /// the fault-free path).
+    /// [`FaultSchedule::none`], under which every cell is exactly its
+    /// fault-free result).
     pub fn faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Arc::new(faults);
         self

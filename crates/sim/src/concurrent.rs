@@ -10,7 +10,7 @@
 //! one application lets the others piggyback on the data).
 
 use crate::app::Application;
-use crate::engine::{SimConfig, SimError};
+use crate::engine::{channel_series, integrate, ChannelMerge, SimConfig, SimError};
 use crate::intervals::IntervalSet;
 use crate::metrics::DetectionStats;
 use crate::power::{PhonePowerProfile, PowerBreakdown};
@@ -82,27 +82,17 @@ pub fn simulate_concurrent(
     }
     channels.sort();
 
-    // Replay the trace once, feeding every runtime.
+    // Replay the trace once, feeding every runtime sample by sample.
+    let series = channel_series(trace, &channels)?;
     let mut wake_times: Vec<Vec<Micros>> = vec![Vec::new(); apps.len()];
-    let mut cursors: Vec<(SensorChannel, usize)> = channels.iter().map(|&c| (c, 0)).collect();
-    loop {
-        let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((i, t));
+    for (i, run) in ChannelMerge::new(&series) {
+        for idx in run {
+            let t = series[i].time_of(idx);
+            let sample = series[i].samples()[idx];
+            for (app_idx, runtime) in runtimes.iter_mut().enumerate() {
+                if !runtime.push_sample(channels[i], sample)?.is_empty() {
+                    wake_times[app_idx].push(t);
                 }
-            }
-        }
-        let Some((i, t)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let sample = trace.channel(channel).expect("checked above").samples()[idx];
-        cursors[i].1 += 1;
-        for (app_idx, runtime) in runtimes.iter_mut().enumerate() {
-            if !runtime.push_sample(channel, sample)?.is_empty() {
-                wake_times[app_idx].push(t);
             }
         }
     }
@@ -150,18 +140,7 @@ pub fn simulate_concurrent(
         .map(|a| a.wake_condition_hub_mw())
         .fold(0.0, f64::max);
 
-    let t_awake = awake.total().min(duration);
-    let sleep_budget = duration.saturating_sub(t_awake);
-    let wanted = profile.transition_time * (2 * awake.len() as u64);
-    let overhead = wanted.min(sleep_budget);
-    let breakdown = PowerBreakdown {
-        awake: t_awake,
-        asleep: sleep_budget.saturating_sub(overhead),
-        waking: overhead / 2,
-        sleeping: overhead - overhead / 2,
-        hub_mw,
-    };
-
+    let breakdown = integrate(&awake, duration, profile, hub_mw);
     Ok(ConcurrentResult {
         average_power_mw: breakdown.average_power_mw(profile),
         wake_ups: awake.len(),

@@ -14,7 +14,7 @@
 //! rounding.
 
 use crate::app::Application;
-use crate::engine::{simulate_traced, simulate_with_faults_traced, SimConfig, SimError, SimResult};
+use crate::engine::{simulate_traced, SimConfig, SimError, SimResult};
 use crate::power::{PhonePowerProfile, PowerBreakdown};
 use crate::strategy::Strategy;
 use sidewinder_hub::cost::PipelineCost;
@@ -56,38 +56,13 @@ pub fn attribute_energy(
     config: &SimConfig,
 ) -> Result<AttributedRun, SimError> {
     let mut counters = CounterSink::new();
-    let result = simulate_traced(trace, app, strategy, profile, config, &mut counters)?;
-    let ledger = close_ledger(&result.breakdown, profile, strategy, trace, &counters);
-    Ok(AttributedRun {
-        result,
-        ledger,
-        counters,
-    })
-}
-
-/// [`attribute_energy`] under a fault schedule: retried and lost frames
-/// show up as link energy, resets as extra executions after warm-up
-/// replays.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the underlying simulation does.
-pub fn attribute_energy_with_faults(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<AttributedRun, SimError> {
-    let mut counters = CounterSink::new();
-    let result = simulate_with_faults_traced(
+    let result = simulate_traced::<f64, _>(
         trace,
         app,
         strategy,
         profile,
         config,
-        schedule,
+        &FaultSchedule::none(),
         &mut counters,
     )?;
     let ledger = close_ledger(&result.breakdown, profile, strategy, trace, &counters);

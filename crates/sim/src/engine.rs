@@ -5,6 +5,12 @@
 //! amount of sleep and awake time, the total number of wake-up events,
 //! and the recall and precision of the application", plus the average
 //! power estimated from the Table 1 model.
+//!
+//! Hub-resident strategies run through one replay loop whatever the
+//! fault schedule: the schedule is expanded into a [`FaultPlan`], and
+//! with no faults configured the plan is empty — no resets, no outage or
+//! dropout windows, every frame delivered on its first attempt — so the
+//! loop pushes each channel's samples to the hub in whole batches.
 
 use crate::app::Application;
 use crate::intervals::IntervalSet;
@@ -12,14 +18,15 @@ use crate::metrics::{DetectionStats, FaultCounters};
 use crate::power::{PhonePowerProfile, PowerBreakdown};
 use crate::strategy::Strategy;
 use sidewinder_hub::fault::{
-    FaultSchedule, FrameFate, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
+    FaultPlan, FaultSchedule, FrameFate, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
 };
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_hub::{HubError, Sample};
 use sidewinder_ir::Program;
 use sidewinder_obs::{Event, EventSink, FrameOutcome, NullSink};
-use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
+use sidewinder_sensors::{Micros, SensorChannel, SensorTrace, TimeSeries};
+use std::ops::Range;
 
 /// Tunable simulation constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,152 +165,24 @@ pub fn simulate(
     profile: &PhonePowerProfile,
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_traced(trace, app, strategy, profile, config, &mut NullSink)
-}
-
-/// [`simulate`] with the hub interpreter running its vector pipeline at
-/// single precision — the hardware-faithful hub mode (the paper's MCUs
-/// have at most an f32 FPU). Phone-side strategies (Always Awake, Duty
-/// Cycling, Batching, Oracle) are unaffected: the precision parameter
-/// only governs windows and spectra buffered *on the hub*, so their
-/// results are identical to [`simulate`]. Hub-resident strategies may
-/// wake at slightly different sample positions when a feature value sits
-/// within single-precision rounding of its threshold.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
-/// executed on the trace.
-pub fn simulate_f32(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_traced_f32(trace, app, strategy, profile, config, &mut NullSink)
-}
-
-/// [`simulate`] with an observability sink attached.
-///
-/// Hub-resident strategies thread `sink` into the [`HubRuntime`], so it
-/// sees every node execution and wake emission; the engine additionally
-/// moves the sink's time cursor to each sample's trace time and reports
-/// one delivered link frame per wake. With [`NullSink`] this *is*
-/// [`simulate`]: the instrumentation compiles out and the sample replay
-/// takes the identical batched path (pinned by the obs conformance
-/// suite).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
-/// executed on the trace.
-pub fn simulate_traced<S: EventSink>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    simulate_traced_generic::<S, f64>(trace, app, strategy, profile, config, sink)
-}
-
-/// [`simulate_f32`] with an observability sink attached; see
-/// [`simulate_traced`] for what the sink observes.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
-/// executed on the trace.
-pub fn simulate_traced_f32<S: EventSink>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    simulate_traced_generic::<S, f32>(trace, app, strategy, profile, config, sink)
-}
-
-/// The precision-generic replay behind [`simulate_traced`] and
-/// [`simulate_traced_f32`]: `P` is the hub's vector sample precision.
-fn simulate_traced_generic<S: EventSink, P: Sample>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    let duration = trace.duration();
-    let mut discovery_delays = Vec::new();
-    let (awake, mut detections) = match strategy {
-        Strategy::AlwaysAwake => {
-            let detections = app.classify(trace, Micros::ZERO, duration);
-            (
-                IntervalSet::from_spans(vec![(Micros::ZERO, duration)], Micros::ZERO),
-                detections,
-            )
-        }
-        Strategy::DutyCycle { sleep } => duty_cycle(trace, app, *sleep, profile, config),
-        Strategy::Batching { interval, .. } => {
-            let (awake, detections, delays) = batching(trace, app, *interval, profile, config);
-            discovery_delays = delays;
-            (awake, detections)
-        }
-        Strategy::HubWake { program, .. } | Strategy::HubWakeDegraded { program, .. } => {
-            // With no faults to degrade under, the hardened strategy *is*
-            // plain hub wake-up.
-            hub_wake::<S, P>(trace, app, program, config, sink)?
-        }
-        Strategy::Oracle => {
-            let spans: Vec<(Micros, Micros)> = app
-                .target_kinds()
-                .iter()
-                .flat_map(|&k| trace.ground_truth().of_kind(k))
-                .map(|iv| (iv.start(), iv.end()))
-                .collect();
-            let detections = spans.iter().map(|(s, e)| *s + (*e - *s) / 2).collect();
-            (IntervalSet::from_spans(spans, config.merge_gap), detections)
-        }
-    };
-
-    let awake = awake.clip(duration);
-    detections.sort();
-    detections.dedup();
-
-    let stats = DetectionStats::match_events(
-        trace.ground_truth(),
-        &app.target_kinds(),
-        &detections,
-        config.match_tolerance,
-    );
-
-    let breakdown = integrate(&awake, duration, profile, strategy.hub_mw());
-    Ok(SimResult {
-        strategy: strategy.label(),
-        app: app.name().to_string(),
-        trace: trace.name().to_string(),
-        average_power_mw: breakdown.average_power_mw(profile),
-        wake_ups: awake.len(),
-        breakdown,
-        stats,
-        detections,
-        discovery_delays,
-        fault: FaultCounters::default(),
-    })
+    simulate_with_faults(
+        trace,
+        app,
+        strategy,
+        profile,
+        config,
+        &FaultSchedule::none(),
+    )
 }
 
 /// Replays `trace` through `app` under `strategy` while injecting the
 /// faults described by `schedule`.
 ///
-/// With an empty schedule this is exactly [`simulate`] — bit-identical
-/// results, zeroed [`FaultCounters`]. Faults live on the phone↔hub link
-/// and the hub itself, so only the hub-resident strategies
-/// ([`Strategy::HubWake`], [`Strategy::HubWakeDegraded`]) are affected;
-/// phone-only strategies delegate to [`simulate`] unchanged.
+/// Faults live on the phone↔hub link and the hub itself, so only the
+/// hub-resident strategies ([`Strategy::HubWake`],
+/// [`Strategy::HubWakeDegraded`]) are affected. An empty schedule plans
+/// no faults, so this is exactly [`simulate`]: the same replay, zeroed
+/// [`FaultCounters`].
 ///
 /// # Errors
 ///
@@ -317,7 +196,7 @@ pub fn simulate_with_faults(
     config: &SimConfig,
     schedule: &FaultSchedule,
 ) -> Result<SimResult, SimError> {
-    simulate_with_faults_traced(
+    simulate_traced::<f64, _>(
         trace,
         app,
         strategy,
@@ -328,16 +207,30 @@ pub fn simulate_with_faults(
     )
 }
 
-/// [`simulate_with_faults`] with an observability sink attached: on top
-/// of what [`simulate_traced`] reports, the sink sees every link-frame
-/// fate and retry, lost frames, dropped samples, hub resets with their
-/// program re-downloads, and degraded-mode entries/exits.
+/// [`simulate_with_faults`] with the hub's vector precision `P` chosen
+/// and an observability sink attached.
+///
+/// `P = f32` is the hardware-faithful hub mode (the paper's MCUs have at
+/// most an f32 FPU). It only governs windows and spectra buffered *on
+/// the hub*, so phone-side strategies (Always Awake, Duty Cycling,
+/// Batching, Oracle) give the same results at either precision;
+/// hub-resident strategies may wake at slightly different sample
+/// positions when a feature value sits within single-precision rounding
+/// of its threshold.
+///
+/// Hub-resident strategies thread `sink` into the [`HubRuntime`], so it
+/// sees every node execution and wake emission; the engine moves the
+/// sink's time cursor to each sample's trace time and reports every
+/// link-frame attempt and its fate, lost frames, dropped samples, hub
+/// resets with their program re-downloads, and degraded-mode entries and
+/// exits. With [`NullSink`] the instrumentation compiles out and samples
+/// reach the hub in batches (pinned equal by the obs conformance suite).
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the wake-up condition cannot be loaded or
+/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
 /// executed on the trace.
-pub fn simulate_with_faults_traced<S: EventSink>(
+pub fn simulate_traced<P: Sample, S: EventSink>(
     trace: &SensorTrace,
     app: &dyn Application,
     strategy: &Strategy,
@@ -346,22 +239,53 @@ pub fn simulate_with_faults_traced<S: EventSink>(
     schedule: &FaultSchedule,
     sink: &mut S,
 ) -> Result<SimResult, SimError> {
-    if schedule.is_empty() {
-        return simulate_traced(trace, app, strategy, profile, config, sink);
-    }
-    let (program, fallback) = match strategy {
-        Strategy::HubWake { program, .. } => (program, None),
-        Strategy::HubWakeDegraded {
-            program,
-            fallback_sleep,
-            ..
-        } => (program, Some(*fallback_sleep)),
-        _ => return simulate_traced(trace, app, strategy, profile, config, sink),
-    };
     let duration = trace.duration();
-    let (awake, mut detections, fault) = hub_wake_faulted(
-        trace, app, program, config, profile, schedule, fallback, sink,
-    )?;
+    let mut discovery_delays = Vec::new();
+    let mut fault = FaultCounters::default();
+    let (awake, mut detections) = match strategy {
+        Strategy::AlwaysAwake => {
+            let detections = app.classify(trace, Micros::ZERO, duration);
+            (
+                IntervalSet::from_spans(vec![(Micros::ZERO, duration)], Micros::ZERO),
+                detections,
+            )
+        }
+        Strategy::DutyCycle { sleep } => duty_cycle(
+            trace,
+            app,
+            (Micros::ZERO, duration),
+            *sleep,
+            profile,
+            config,
+        ),
+        Strategy::Batching { interval, .. } => {
+            let (awake, detections, delays) = batching(trace, app, *interval, profile, config);
+            discovery_delays = delays;
+            (awake, detections)
+        }
+        Strategy::HubWake { program, .. } | Strategy::HubWakeDegraded { program, .. } => {
+            let fallback = match strategy {
+                Strategy::HubWakeDegraded { fallback_sleep, .. } => Some(*fallback_sleep),
+                _ => None,
+            };
+            let (awake, detections, counters) = hub_wake::<P, S>(
+                trace, app, program, fallback, profile, config, schedule, sink,
+            )?;
+            fault = counters;
+            (awake, detections)
+        }
+        Strategy::Oracle => {
+            let spans: Vec<(Micros, Micros)> = app
+                .target_kinds()
+                .iter()
+                .flat_map(|&k| trace.ground_truth().of_kind(k))
+                .map(|iv| (iv.start(), iv.end()))
+                .collect();
+            let detections = spans.iter().map(|(s, e)| *s + (*e - *s) / 2).collect();
+            (IntervalSet::from_spans(spans, config.merge_gap), detections)
+        }
+    };
+
     let awake = awake.clip(duration);
     detections.sort();
     detections.dedup();
@@ -389,7 +313,7 @@ pub fn simulate_with_faults_traced<S: EventSink>(
         breakdown,
         stats,
         detections,
-        discovery_delays: Vec::new(),
+        discovery_delays,
         fault,
     })
 }
@@ -397,7 +321,7 @@ pub fn simulate_with_faults_traced<S: EventSink>(
 /// Converts awake spans into the per-state time breakdown, charging one
 /// wake and one sleep transition per disjoint awake period out of the
 /// sleep budget.
-fn integrate(
+pub(crate) fn integrate(
     awake: &IntervalSet,
     duration: Micros,
     profile: &PhonePowerProfile,
@@ -416,42 +340,42 @@ fn integrate(
     }
 }
 
-/// Duty cycling: wake, sample for one chunk, extend while the classifier
-/// keeps detecting, then sleep.
+/// Duty cycling over `[start, end)`: wake, sample for one chunk, extend
+/// while the classifier keeps detecting, then sleep.
 fn duty_cycle(
     trace: &SensorTrace,
     app: &dyn Application,
+    (start, end): (Micros, Micros),
     sleep: Micros,
     profile: &PhonePowerProfile,
     config: &SimConfig,
 ) -> (IntervalSet, Vec<Micros>) {
-    let duration = trace.duration();
     let chunk = config.awake_chunk;
     let mut spans = Vec::new();
     let mut detections = Vec::new();
-    let mut t = Micros::ZERO;
-    while t < duration {
-        let mut end = (t + chunk).min(duration);
+    let mut t = start;
+    while t < end {
+        let mut stop = (t + chunk).min(end);
         loop {
-            let chunk_start = end.saturating_sub(chunk).max(t);
-            let found = app.classify(trace, chunk_start, end);
+            let chunk_start = stop.saturating_sub(chunk).max(t);
+            let found = app.classify(trace, chunk_start, stop);
             let fresh: Vec<Micros> = found
                 .into_iter()
-                .filter(|&d| d >= chunk_start && d < end)
+                .filter(|&d| d >= chunk_start && d < stop)
                 .collect();
-            let keep_going = !fresh.is_empty() && end < duration;
+            let keep_going = !fresh.is_empty() && stop < end;
             detections.extend(fresh);
             if !keep_going {
                 break;
             }
-            end = (end + chunk).min(duration);
+            stop = (stop + chunk).min(end);
         }
-        spans.push((t, end));
+        spans.push((t, stop));
         // The sleep interval is the total gap between sampling windows;
         // the two 1 s transitions live inside it (and consume it
         // entirely at the paper's shortest 2 s interval, which is why
         // DC-2 costs *more* than Always Awake — §5.4's 339 mW).
-        t = end + sleep.max(profile.transition_time * 2);
+        t = stop + sleep.max(profile.transition_time * 2);
     }
     // Duty-cycle spans are genuinely disjoint: the phone transitions
     // between every pair, so no gap merging applies.
@@ -495,293 +419,258 @@ fn batching(
     )
 }
 
-/// Hub-resident wake-up condition (Predefined Activity or Sidewinder),
-/// interpreted at vector precision `P`.
-fn hub_wake<S: EventSink, P: Sample>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    program: &Program,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<(IntervalSet, Vec<Micros>), SimError> {
-    // Configure hub channel rates from the trace itself.
-    let mut rates = ChannelRates::default();
-    let channels = program.channels();
-    for &channel in &channels {
-        let series = trace
-            .channel(channel)
-            .ok_or(SimError::MissingChannel(channel))?;
-        rates = rates.with_rate(channel, series.rate_hz());
-    }
-    let mut hub = HubRuntime::<_, P>::load_generic(program, &rates, &mut *sink)?;
+/// The series `channels` read from `trace`, in order.
+pub(crate) fn channel_series<'t>(
+    trace: &'t SensorTrace,
+    channels: &[SensorChannel],
+) -> Result<Vec<&'t TimeSeries>, SimError> {
+    channels
+        .iter()
+        .map(|&c| trace.channel(c).ok_or(SimError::MissingChannel(c)))
+        .collect()
+}
 
-    // Replay samples in time order across the program's channels and
-    // collect wake times. Consecutive samples from one channel are pushed
-    // as a single batch; the batch boundary reproduces the serial pick
-    // exactly (first channel index with a strictly minimal time wins), so
-    // the hub sees the samples in the identical order.
-    let mut wake_times: Vec<Micros> = Vec::new();
-    let mut cursors: Vec<(sidewinder_sensors::SensorChannel, usize)> =
-        channels.iter().map(|&c| (c, 0usize)).collect();
-    loop {
-        // Pick the channel whose next sample is earliest.
+/// Time-ordered replay of several series: yields `(position, samples)`
+/// runs of consecutive samples from one series, in exactly the order a
+/// serial pick would feed them one by one — the earliest next sample
+/// first, and on equal times the series at the smaller position.
+pub(crate) struct ChannelMerge<'s, 't> {
+    series: &'s [&'t TimeSeries],
+    cursors: Vec<usize>,
+    /// Trace time of each series' next sample; `None` once it is used up.
+    heads: Vec<Option<Micros>>,
+}
+
+impl<'s, 't> ChannelMerge<'s, 't> {
+    pub(crate) fn new(series: &'s [&'t TimeSeries]) -> Self {
+        ChannelMerge {
+            series,
+            cursors: vec![0; series.len()],
+            heads: series
+                .iter()
+                .map(|s| (!s.is_empty()).then(|| s.time_of(0)))
+                .collect(),
+        }
+    }
+}
+
+impl Iterator for ChannelMerge<'_, '_> {
+    type Item = (usize, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
         let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some(t) = *head {
+                if best.is_none_or(|(_, bt)| t < bt) {
                     best = Some((i, t));
                 }
             }
         }
-        let Some((i, _)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let series = trace.channel(channel).expect("checked above");
-        // The other channels' next-sample times are fixed while this
-        // channel runs, so the run extends as long as this channel keeps
-        // winning the serial pick: strictly earlier than channels at a
-        // smaller index, no later than channels at a larger index.
-        let mut before_min: Option<Micros> = None;
-        let mut after_min: Option<Micros> = None;
-        for (j, &(other, jdx)) in cursors.iter().enumerate() {
-            if j == i {
-                continue;
+        let (i, _) = best?;
+        // The other series' next-sample times are fixed while this one
+        // runs, so the run extends as long as it keeps winning the serial
+        // pick: strictly earlier than series at a smaller position, no
+        // later than series at a larger one.
+        let before = self.heads[..i].iter().flatten().min().copied();
+        let after = self.heads[i + 1..].iter().flatten().min().copied();
+        let series = self.series[i];
+        let start = self.cursors[i];
+        let mut end = start + 1;
+        self.heads[i] = loop {
+            if end == series.len() {
+                break None;
             }
-            let other_series = trace.channel(other).expect("checked above");
-            if jdx < other_series.len() {
-                let tj = other_series.time_of(jdx);
-                let slot = if j < i {
-                    &mut before_min
-                } else {
-                    &mut after_min
-                };
-                *slot = Some(slot.map_or(tj, |m| m.min(tj)));
+            let t = series.time_of(end);
+            if before.is_some_and(|m| t >= m) || after.is_some_and(|m| t > m) {
+                break Some(t);
             }
-        }
-        let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-        let mut end = idx + 1;
-        while end < series.len() && wins(series.time_of(end)) {
             end += 1;
-        }
-        cursors[i].1 = end;
-        // Within one channel, a sample's sequence number is its series
-        // index, so each wake's trigger time is recoverable from its tag.
-        if S::ENABLED {
-            // Traced: feed one sample at a time so each event is stamped
-            // with its sample's trace time, and report each wake's frame
-            // crossing the link. Batch-equivalence of the two paths is
-            // pinned by the hub's conformance tests.
-            for s in idx..end {
-                hub.sink_mut().set_time(series.time_of(s));
-                let wakes = hub.push_sample(channel, series.samples()[s])?;
-                for w in &wakes {
-                    wake_times.push(series.time_of(w.seq as usize));
-                }
-                for _ in &wakes {
-                    hub.sink_mut().record(Event::LinkFrame {
-                        outcome: FrameOutcome::Delivered,
-                        attempt: 1,
-                    });
-                }
-            }
-        } else {
-            let wakes = hub.push_samples(channel, &series.samples()[idx..end])?;
-            wake_times.extend(wakes.iter().map(|w| series.time_of(w.seq as usize)));
-        }
+        };
+        self.cursors[i] = end;
+        Some((i, start..end))
     }
-
-    // Each wake keeps the phone up briefly; close wakes merge into a
-    // continuous awake span covering the event.
-    let spans: Vec<(Micros, Micros)> = wake_times
-        .iter()
-        .map(|&w| (w, w + config.hub_chunk))
-        .collect();
-    let awake = IntervalSet::from_spans(spans, config.merge_gap);
-
-    // The application classifies over each awake period plus the raw
-    // buffer the hub hands over.
-    let mut detections = Vec::new();
-    for &(start, end) in awake.spans() {
-        detections.extend(app.classify(trace, start.saturating_sub(config.lookback), end));
-    }
-    Ok((awake, detections))
 }
 
-/// [`hub_wake`] under an active fault schedule: the serial link corrupts
-/// and drops frames, the hub resets and browns out, sensor channels fall
-/// silent. The phone retries frames with capped exponential backoff,
-/// probes hub health after timeouts, and re-downloads the program after
-/// each reset; when `fallback` is set it additionally duty-cycles on the
-/// main CPU through every window where the hub is unusable.
+/// Which series index each hub sequence number on one channel came from,
+/// as one `(first sequence number, first series index)` entry per
+/// stretch of consumed samples since the last hub reset.
+#[derive(Debug, Clone, Default)]
+struct SeqMap {
+    stretches: Vec<(u64, usize)>,
+    consumed: u64,
+}
+
+impl SeqMap {
+    /// Records that the hub consumed the series samples `indices` next.
+    fn push(&mut self, indices: Range<usize>) {
+        let continues = self.stretches.last().is_some_and(|&(seq, index)| {
+            index as u64 + (self.consumed - seq) == indices.start as u64
+        });
+        if !continues {
+            self.stretches.push((self.consumed, indices.start));
+        }
+        self.consumed += indices.len() as u64;
+    }
+
+    /// The series index of the sample the hub numbered `seq`.
+    fn index_of(&self, seq: u64) -> usize {
+        let k = self.stretches.partition_point(|&(first, _)| first <= seq);
+        let (first, index) = self.stretches[k - 1];
+        index + (seq - first) as usize
+    }
+
+    /// Forgets everything, as the hub restarts its sequence counters.
+    fn clear(&mut self) {
+        self.stretches.clear();
+        self.consumed = 0;
+    }
+}
+
+/// Hub-resident wake-up condition (Predefined Activity or Sidewinder),
+/// interpreted at vector precision `P` under the faults `schedule` plans.
+///
+/// The serial link corrupts and drops frames, the hub resets and browns
+/// out, sensor channels fall silent. The phone retries frames with capped
+/// exponential backoff, probes hub health after timeouts, and
+/// re-downloads the program after each reset; with a `fallback` sleep it
+/// also duty-cycles on the main CPU through every window where the hub
+/// is unusable. Between fault boundaries (the next reset, a downtime
+/// edge, a dropout edge on the channel) nothing changes, so each such
+/// stretch is dropped or pushed to the hub whole.
 #[allow(clippy::too_many_arguments)]
-fn hub_wake_faulted<S: EventSink>(
+fn hub_wake<P: Sample, S: EventSink>(
     trace: &SensorTrace,
     app: &dyn Application,
     program: &Program,
-    config: &SimConfig,
-    profile: &PhonePowerProfile,
-    schedule: &FaultSchedule,
     fallback: Option<Micros>,
+    profile: &PhonePowerProfile,
+    config: &SimConfig,
+    schedule: &FaultSchedule,
     sink: &mut S,
 ) -> Result<(IntervalSet, Vec<Micros>, FaultCounters), SimError> {
     let duration = trace.duration();
-    let mut rates = ChannelRates::default();
+    // Configure hub channel rates from the trace itself.
     let channels = program.channels();
-    for &channel in &channels {
-        let series = trace
-            .channel(channel)
-            .ok_or(SimError::MissingChannel(channel))?;
-        rates = rates.with_rate(channel, series.rate_hz());
-    }
-    let mut hub = HubRuntime::load_with_sink(program, &rates, &mut *sink)?;
+    let series = channel_series(trace, &channels)?;
+    let rates = channels
+        .iter()
+        .zip(&series)
+        .fold(ChannelRates::default(), |rates, (&c, s)| {
+            rates.with_rate(c, s.rate_hz())
+        });
+    let mut hub = HubRuntime::<_, P>::load_generic(program, &rates, &mut *sink)?;
 
     // Link-cost model: every transfer is CRC-framed; a health probe is a
-    // round trip; recovering from a hub reset takes the reboot, a program
+    // round trip; a retry costs a probe and a fresh frame on top of its
+    // backoff; recovering from a hub reset takes the reboot, a program
     // re-download, and a probe to confirm the hub is back.
     let link = SerialLink::NEXUS4_UART;
-    let frame_time = link.framed_transfer_time(WAKE_FRAME_BYTES);
     let probe_time = link.framed_transfer_time(PROBE_FRAME_BYTES) * 2;
+    let retry_cost = probe_time + link.framed_transfer_time(WAKE_FRAME_BYTES);
     let program_bytes = program.to_string().len();
     let recovery = HUB_REBOOT_TIME + link.framed_transfer_time(program_bytes) + probe_time;
     let mut plan = schedule.plan(duration, recovery);
-    let retry = plan.retry();
     let mut fault = FaultCounters::default();
 
     // Wake times that actually reached the phone, and windows in which the
     // link blew through its retry budget (feeding the degraded fallback).
     let mut wake_times: Vec<Micros> = Vec::new();
     let mut saturated: Vec<(Micros, Micros)> = Vec::new();
-    // Per program channel, the series index of each sample the hub has
-    // consumed since its last reset: a wake's `seq` tag indexes this map
-    // to recover the trigger time. Cleared on reset, exactly as the hub
-    // clears its per-channel sequence counters.
-    let mut consumed: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
+    // A wake's `seq` tag numbers the samples its channel fed the hub since
+    // the last reset; the map turns it back into the trigger time.
+    let mut seq_maps = vec![SeqMap::default(); channels.len()];
+    let mut wake_seqs: Vec<u64> = Vec::new();
     let mut next_reset = 0usize;
+    // Per channel: whether its samples are being dropped, and the fault
+    // boundary up to which that holds (`None`: to the end of the trace).
+    let mut state = vec![(false, Some(Micros::ZERO)); channels.len()];
 
-    // Same time-ordered serial pick as `hub_wake`, but samples feed the
-    // hub one at a time so each can be checked against the fault plan.
-    let mut cursors: Vec<(SensorChannel, usize)> = channels.iter().map(|&c| (c, 0usize)).collect();
-    loop {
-        let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let series = trace.channel(channel).expect("checked above");
-        let mut before_min: Option<Micros> = None;
-        let mut after_min: Option<Micros> = None;
-        for (j, &(other, jdx)) in cursors.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let other_series = trace.channel(other).expect("checked above");
-            if jdx < other_series.len() {
-                let tj = other_series.time_of(jdx);
-                let slot = if j < i {
-                    &mut before_min
-                } else {
-                    &mut after_min
-                };
-                *slot = Some(slot.map_or(tj, |m| m.min(tj)));
-            }
-        }
-        let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-        let mut end = idx + 1;
-        while end < series.len() && wins(series.time_of(end)) {
-            end += 1;
-        }
-        cursors[i].1 = end;
-
-        for s in idx..end {
-            let t = series.time_of(s);
-            // Fire any watchdog reset that has come due: the hub loses
-            // all filter state and its sequence counters, and the phone
-            // pays reboot + re-download + probe to bring it back.
-            while next_reset < plan.resets().len() && plan.resets()[next_reset] <= t {
-                if S::ENABLED {
-                    hub.sink_mut().set_time(plan.resets()[next_reset]);
-                }
-                hub.reset();
-                if S::ENABLED {
-                    hub.sink_mut().record(Event::ProgramRedownload);
-                }
-                for map in &mut consumed {
-                    map.clear();
-                }
-                fault.hub_resets += 1;
-                fault.redownloads += 1;
-                fault.recovery_time += recovery;
-                next_reset += 1;
-            }
-            if S::ENABLED {
-                hub.sink_mut().set_time(t);
-            }
-            if plan.hub_down_at(t) || plan.channel_dropped(channel, t) {
-                fault.samples_dropped += 1;
-                if S::ENABLED {
-                    hub.sink_mut().record(Event::SampleDropped { channel });
-                }
-                continue;
-            }
-            consumed[i].push(s);
-            let wakes = hub.push_sample(channel, series.samples()[s])?;
-            for wake in wakes {
-                let tw = series.time_of(consumed[i][wake.seq as usize]);
-                // Transfer the wake notification: retry corrupted/dropped
-                // frames with capped exponential backoff until delivery or
-                // budget exhaustion. A clean first attempt costs nothing
-                // extra — the fault-free path stays bit-identical.
-                let mut delay = Micros::ZERO;
-                let mut attempt = 1u32;
-                loop {
-                    fault.frames_sent += 1;
-                    let fate = plan.next_frame_fate();
+    for (i, run) in ChannelMerge::new(&series) {
+        let (channel, series) = (channels[i], series[i]);
+        let mut start = run.start;
+        while start < run.end {
+            let t = series.time_of(start);
+            if state[i].1.is_some_and(|boundary| t >= boundary) {
+                // Fire any watchdog reset that has come due: the hub
+                // loses all filter state and its sequence counters, and
+                // the phone pays reboot + re-download + probe to bring it
+                // back. Resets are boundaries on every channel, so the
+                // first sample at or past one always lands here.
+                while let Some(&reset) = plan.resets().get(next_reset).filter(|&&r| r <= t) {
                     if S::ENABLED {
-                        let outcome = match fate {
-                            FrameFate::Delivered => FrameOutcome::Delivered,
-                            FrameFate::Corrupted => FrameOutcome::Corrupted,
-                            FrameFate::Dropped => FrameOutcome::Dropped,
-                        };
-                        hub.sink_mut().record(Event::LinkFrame { outcome, attempt });
+                        hub.sink_mut().set_time(reset);
                     }
-                    match fate {
-                        FrameFate::Delivered => {
-                            wake_times.push((tw + delay).min(duration));
-                            break;
-                        }
-                        FrameFate::Corrupted => fault.frames_corrupted += 1,
-                        FrameFate::Dropped => fault.frames_dropped += 1,
+                    hub.reset();
+                    if S::ENABLED {
+                        hub.sink_mut().record(Event::ProgramRedownload);
                     }
-                    if attempt >= retry.max_attempts {
-                        fault.frames_lost += 1;
-                        if S::ENABLED {
-                            hub.sink_mut().record(Event::FrameLost);
-                        }
-                        if let Some(fb) = fallback {
-                            // The link is saturated past its budget: cover
-                            // the loss with one fallback duty cycle.
-                            saturated.push((tw, (tw + fb + config.awake_chunk).min(duration)));
-                        }
-                        break;
+                    seq_maps.iter_mut().for_each(SeqMap::clear);
+                    fault.hub_resets += 1;
+                    fault.redownloads += 1;
+                    fault.recovery_time += recovery;
+                    next_reset += 1;
+                }
+                let dropped = plan.hub_down_at(t) || plan.channel_dropped(channel, t);
+                state[i] = (dropped, plan.next_boundary(channel, t));
+            }
+            let (dropped, boundary) = state[i];
+            let end = boundary.map_or(run.end, |b| {
+                (start + 1..run.end)
+                    .find(|&k| series.time_of(k) >= b)
+                    .unwrap_or(run.end)
+            });
+            let stretch = start..end;
+            start = end;
+
+            if dropped {
+                fault.samples_dropped += stretch.len() as u64;
+                if S::ENABLED {
+                    for k in stretch {
+                        hub.sink_mut().set_time(series.time_of(k));
+                        hub.sink_mut().record(Event::SampleDropped { channel });
                     }
-                    fault.frames_retried += 1;
-                    delay = delay + retry.backoff_before(attempt) + probe_time + frame_time;
-                    fault.recovery_time += probe_time + frame_time;
-                    attempt += 1;
+                }
+                continue;
+            }
+            seq_maps[i].push(stretch.clone());
+            // Traced runs feed one sample at a time so each event is
+            // stamped with its sample's trace time.
+            let batch = if S::ENABLED { 1 } else { stretch.len() };
+            for (n, samples) in series.samples()[stretch.clone()].chunks(batch).enumerate() {
+                if S::ENABLED {
+                    hub.sink_mut().set_time(series.time_of(stretch.start + n));
+                }
+                wake_seqs.clear();
+                wake_seqs.extend(hub.push_samples(channel, samples)?.iter().map(|w| w.seq));
+                for &seq in &wake_seqs {
+                    let tw = series.time_of(seq_maps[i].index_of(seq));
+                    match send_wake(&mut plan, retry_cost, &mut fault, hub.sink_mut()) {
+                        // A retried wake lands no later than the trace
+                        // end, and never before its trigger.
+                        Some(delay) => wake_times.push((tw + delay).min(duration.max(tw))),
+                        // The link is saturated past its budget: cover the
+                        // loss with one fallback duty cycle.
+                        None => {
+                            if let Some(fb) = fallback {
+                                saturated.push((tw, (tw + fb + config.awake_chunk).min(duration)));
+                            }
+                        }
+                    }
                 }
             }
         }
     }
+    if schedule.is_empty() {
+        // Nothing was injected, so there is no fault activity to report:
+        // first-attempt frames on a clean link are not metered.
+        fault.frames_sent = 0;
+        debug_assert!(fault.is_clean());
+    }
 
-    // Delivered wakes behave exactly as in the fault-free path.
+    // Each delivered wake keeps the phone up briefly; close wakes merge
+    // into a continuous awake span covering the event, and the
+    // application classifies over each awake period plus the raw buffer
+    // the hub hands over.
     let spans: Vec<(Micros, Micros)> = wake_times
         .iter()
         .map(|&w| (w, w + config.hub_chunk))
@@ -795,44 +684,23 @@ fn hub_wake_faulted<S: EventSink>(
     // Degraded mode: while the hub is down or the link saturated, fall
     // back to duty-cycling on the main CPU — the paper's DC strategy,
     // bounded to the outage window, so wake conditions keep firing (late,
-    // at phone power) instead of never.
+    // at phone power) instead of never. A full-trace outage reproduces
+    // DutyCycle detections identically.
     let mut all_spans: Vec<(Micros, Micros)> = hub_awake.spans().to_vec();
     if let Some(sleep) = fallback {
         let mut windows: Vec<(Micros, Micros)> = plan.downtime().to_vec();
         windows.extend(saturated);
-        let windows = IntervalSet::from_spans(windows, Micros::ZERO);
-        let chunk = config.awake_chunk;
-        for &(win_start, win_end) in windows.spans() {
-            fault.degraded_time += win_end - win_start;
+        for &(start, end) in IntervalSet::from_spans(windows, Micros::ZERO).spans() {
+            fault.degraded_time += end - start;
             if S::ENABLED {
-                hub.sink_mut().set_time(win_start);
+                hub.sink_mut().set_time(start);
                 hub.sink_mut().record(Event::Degraded { entered: true });
             }
-            // The exact duty_cycle pacing loop, bounded to the window, so
-            // a full-trace outage reproduces DutyCycle detections
-            // identically.
-            let mut t = win_start;
-            while t < win_end {
-                let mut end = (t + chunk).min(win_end);
-                loop {
-                    let chunk_start = end.saturating_sub(chunk).max(t);
-                    let found = app.classify(trace, chunk_start, end);
-                    let fresh: Vec<Micros> = found
-                        .into_iter()
-                        .filter(|&d| d >= chunk_start && d < end)
-                        .collect();
-                    let keep_going = !fresh.is_empty() && end < win_end;
-                    detections.extend(fresh);
-                    if !keep_going {
-                        break;
-                    }
-                    end = (end + chunk).min(win_end);
-                }
-                all_spans.push((t, end));
-                t = end + sleep.max(profile.transition_time * 2);
-            }
+            let (spans, found) = duty_cycle(trace, app, (start, end), sleep, profile, config);
+            all_spans.extend_from_slice(spans.spans());
+            detections.extend(found);
             if S::ENABLED {
-                hub.sink_mut().set_time(win_end);
+                hub.sink_mut().set_time(end);
                 hub.sink_mut().record(Event::Degraded { entered: false });
             }
         }
@@ -841,10 +709,54 @@ fn hub_wake_faulted<S: EventSink>(
     Ok((awake, detections, fault))
 }
 
+/// Sends one wake notification across the link: corrupted or dropped
+/// frames are retried with capped exponential backoff until delivery or
+/// budget exhaustion, each retry costing `retry_cost` on top of its
+/// backoff. Returns the delivery delay (zero for a clean first attempt),
+/// or `None` when the frame is lost.
+fn send_wake<S: EventSink>(
+    plan: &mut FaultPlan,
+    retry_cost: Micros,
+    fault: &mut FaultCounters,
+    sink: &mut S,
+) -> Option<Micros> {
+    let retry = plan.retry();
+    let mut delay = Micros::ZERO;
+    let mut attempt = 1u32;
+    loop {
+        fault.frames_sent += 1;
+        let fate = plan.next_frame_fate();
+        if S::ENABLED {
+            let outcome = match fate {
+                FrameFate::Delivered => FrameOutcome::Delivered,
+                FrameFate::Corrupted => FrameOutcome::Corrupted,
+                FrameFate::Dropped => FrameOutcome::Dropped,
+            };
+            sink.record(Event::LinkFrame { outcome, attempt });
+        }
+        match fate {
+            FrameFate::Delivered => return Some(delay),
+            FrameFate::Corrupted => fault.frames_corrupted += 1,
+            FrameFate::Dropped => fault.frames_dropped += 1,
+        }
+        if attempt >= retry.max_attempts {
+            fault.frames_lost += 1;
+            if S::ENABLED {
+                sink.record(Event::FrameLost);
+            }
+            return None;
+        }
+        fault.frames_retried += 1;
+        delay = delay + retry.backoff_before(attempt) + retry_cost;
+        fault.recovery_time += retry_cost;
+        attempt += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidewinder_sensors::{EventKind, LabeledInterval, SensorChannel, TimeSeries};
+    use sidewinder_sensors::{EventKind, LabeledInterval};
 
     /// A toy application over a synthetic square-wave trace: events are
     /// intervals where ACC_X exceeds 5; the classifier finds them
@@ -967,32 +879,80 @@ mod tests {
         assert!(r.average_power_mw < aa / 3.0);
     }
 
+    fn run_f32(strategy: Strategy) -> SimResult {
+        simulate_traced::<f32, _>(
+            &toy_trace(),
+            &ToyApp,
+            &strategy,
+            &PhonePowerProfile::NEXUS4,
+            &SimConfig::default(),
+            &FaultSchedule::none(),
+            &mut NullSink,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn f32_hub_mode_detects_the_same_toy_events() {
         let r64 = run(sidewinder());
-        let r32 = simulate_f32(
-            &toy_trace(),
-            &ToyApp,
-            &sidewinder(),
-            &PhonePowerProfile::NEXUS4,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let r32 = run_f32(sidewinder());
         assert_eq!(r32.recall(), 1.0);
         assert_eq!(r32.wake_ups, r64.wake_ups);
         assert_eq!(r32.detections, r64.detections);
         // Phone-side strategies are precision-independent: the hub never
         // buffers their data, so f32 mode must be exactly f64 mode.
-        let aa64 = run(Strategy::AlwaysAwake);
-        let aa32 = simulate_f32(
-            &toy_trace(),
-            &ToyApp,
-            &Strategy::AlwaysAwake,
-            &PhonePowerProfile::NEXUS4,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(aa64, aa32);
+        assert_eq!(run(Strategy::AlwaysAwake), run_f32(Strategy::AlwaysAwake));
+    }
+
+    /// The serial pick the merge must reproduce, one sample at a time:
+    /// the earliest next sample wins, ties go to the smaller position.
+    fn serial_pick(series: &[&TimeSeries]) -> Vec<(usize, usize)> {
+        let mut cursors = vec![0; series.len()];
+        let mut order = Vec::new();
+        loop {
+            let mut best: Option<(usize, Micros)> = None;
+            for (i, s) in series.iter().enumerate() {
+                if cursors[i] < s.len() {
+                    let t = s.time_of(cursors[i]);
+                    if best.is_none_or(|(_, bt)| t < bt) {
+                        best = Some((i, t));
+                    }
+                }
+            }
+            let Some((i, _)) = best else { return order };
+            order.push((i, cursors[i]));
+            cursors[i] += 1;
+        }
+    }
+
+    #[test]
+    fn channel_merge_matches_the_serial_pick_across_rates() {
+        // 50 Hz and 100 Hz share every 20 ms timestamp; the 100 Hz series
+        // also runs alone in between and past the 50 Hz series' end.
+        let slow = TimeSeries::from_samples(50.0, vec![0.0; 50]).unwrap();
+        let fast = TimeSeries::from_samples(100.0, vec![0.0; 130]).unwrap();
+        let also_slow = TimeSeries::from_samples(50.0, vec![0.0; 40]).unwrap();
+        for series in [
+            vec![&slow, &fast],
+            vec![&fast, &slow],
+            vec![&slow, &fast, &also_slow],
+            vec![&also_slow, &fast, &slow],
+        ] {
+            let merged: Vec<(usize, usize)> = ChannelMerge::new(&series)
+                .flat_map(|(i, run)| run.map(move |idx| (i, idx)))
+                .collect();
+            let reference = serial_pick(&series);
+            assert_eq!(merged, reference);
+            assert_eq!(merged.len(), series.iter().map(|s| s.len()).sum::<usize>());
+            // Coincident timestamps do occur, and the smaller position
+            // is fed first every time.
+            let ties = merged
+                .windows(2)
+                .filter(|w| series[w[0].0].time_of(w[0].1) == series[w[1].0].time_of(w[1].1))
+                .inspect(|w| assert!(w[0].0 < w[1].0, "{w:?}"))
+                .count();
+            assert!(ties > 0);
+        }
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! * [`strategy`] — the sensing configurations;
 //! * [`engine`] — [`engine::simulate`]: replay a trace under a strategy,
 //!   producing awake intervals, detections, wake-up counts, and power;
-//!   [`engine::simulate_with_faults`] layers a deterministic
+//!   [`engine::simulate_with_faults`] does so under a deterministic
 //!   [`FaultSchedule`] (corrupted/dropped frames, hub resets, sensor
-//!   dropouts) on top, with retry/backoff recovery and an optional
-//!   degraded duty-cycling fallback;
+//!   dropouts) with retry/backoff recovery and an optional degraded
+//!   duty-cycling fallback, and [`engine::simulate_traced`] adds a choice
+//!   of hub precision and an observability sink. All three share one
+//!   hub-wake loop: no faults is an empty fault plan, not another path;
 //! * [`metrics`] — recall/precision matching of detections against
 //!   ground truth, plus [`FaultCounters`] for fault-injected runs;
 //! * [`concurrent`] — several applications sharing one phone and hub
@@ -50,11 +52,8 @@ pub use batch::{
     par_map, try_par_map, BatchReport, BatchRunner, JobError, JobOutcome, JobPanic, JobSpec,
     SharedApp, SweepSpec,
 };
-pub use energy::{attribute_energy, attribute_energy_with_faults, AttributedRun};
-pub use engine::{
-    simulate, simulate_f32, simulate_traced, simulate_traced_f32, simulate_with_faults,
-    simulate_with_faults_traced, SimConfig, SimError, SimResult,
-};
+pub use energy::{attribute_energy, AttributedRun};
+pub use engine::{simulate, simulate_traced, simulate_with_faults, SimConfig, SimError, SimResult};
 pub use metrics::{DetectionStats, FaultCounters};
 pub use power::{PhonePowerProfile, PowerBreakdown};
 pub use sidewinder_hub::fault::{ChannelDropout, FaultSchedule, FrameFate, RetryPolicy};

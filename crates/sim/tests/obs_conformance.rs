@@ -3,17 +3,18 @@
 //! Two pins across all six evaluation applications:
 //!
 //! * a run with the default [`NullSink`] — and a run with live
-//!   [`CounterSink`] counters, which takes the per-sample traced replay
-//!   path instead of the batch path — is bit-identical to the plain
-//!   `simulate` result (wakes, detections, intervals, energy);
+//!   [`CounterSink`] counters, which feeds the hub one sample at a time
+//!   instead of in batches — is bit-identical to the plain `simulate`
+//!   result (wakes, detections, intervals, energy), with and without a
+//!   fault schedule;
 //! * the per-node energy ledger closes on the run's measured energy to
 //!   within 1e-9 J.
 
 use sidewinder_apps::{accelerometer_apps, audio_apps};
-use sidewinder_sensors::{Micros, SensorTrace};
+use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
-    attribute_energy, simulate, simulate_traced, Application, CounterSink, NullSink,
-    PhonePowerProfile, SimConfig, Strategy,
+    attribute_energy, simulate, simulate_traced, simulate_with_faults, Application, ChannelDropout,
+    CounterSink, FaultSchedule, NullSink, PhonePowerProfile, SimConfig, Strategy,
 };
 use sidewinder_tracegen::{
     audio_trace, robot_group_runs, ActivityGroup, AudioEnvironment, AudioTraceConfig,
@@ -59,12 +60,13 @@ fn traced_runs_are_bit_identical_to_plain_runs_for_all_six_apps() {
         let plain = simulate(&trace, app.as_ref(), &strategy, &profile, &config).unwrap();
 
         let mut null = NullSink;
-        let with_null = simulate_traced(
+        let with_null = simulate_traced::<f64, _>(
             &trace,
             app.as_ref(),
             &strategy,
             &profile,
             &config,
+            &FaultSchedule::none(),
             &mut null,
         )
         .unwrap();
@@ -73,12 +75,13 @@ fn traced_runs_are_bit_identical_to_plain_runs_for_all_six_apps() {
         // Counters flip the engine onto the per-sample traced replay —
         // still bit-identical to the batch path.
         let mut counters = CounterSink::new();
-        let with_counters = simulate_traced(
+        let with_counters = simulate_traced::<f64, _>(
             &trace,
             app.as_ref(),
             &strategy,
             &profile,
             &config,
+            &FaultSchedule::none(),
             &mut counters,
         )
         .unwrap();
@@ -101,6 +104,58 @@ fn traced_runs_are_bit_identical_to_plain_runs_for_all_six_apps() {
             app.name(),
             counters.wakes,
             plain.wake_ups
+        );
+    }
+}
+
+#[test]
+fn traced_faulted_runs_are_bit_identical_to_plain_faulted_runs() {
+    let profile = PhonePowerProfile::NEXUS4;
+    let config = SimConfig::default();
+    for (app, trace) in six_apps() {
+        let s = Micros::from_secs;
+        let schedule = FaultSchedule::seeded(0xB0B)
+            .with_frame_corruption(0.3)
+            .with_frame_drops(0.1)
+            .with_hub_reset_at(s(13))
+            .with_hub_downtime(s(20), s(31))
+            .with_dropout(ChannelDropout::new(SensorChannel::Mic, s(40), s(47)))
+            .with_dropout(ChannelDropout::new(SensorChannel::AccX, s(40), s(47)))
+            .with_dropout(ChannelDropout::new(SensorChannel::AccY, s(40), s(47)));
+        let strategy = Strategy::HubWakeDegraded {
+            program: app.wake_condition(),
+            hub_mw: app.wake_condition_hub_mw(),
+            label: "Sw+",
+            fallback_sleep: s(5),
+        };
+        let plain = simulate_with_faults(
+            &trace,
+            app.as_ref(),
+            &strategy,
+            &profile,
+            &config,
+            &schedule,
+        )
+        .unwrap();
+        assert!(plain.fault.samples_dropped > 0, "{}", app.name());
+        let mut counters = CounterSink::new();
+        let traced = simulate_traced::<f64, _>(
+            &trace,
+            app.as_ref(),
+            &strategy,
+            &profile,
+            &config,
+            &schedule,
+            &mut counters,
+        )
+        .unwrap();
+        assert_eq!(plain, traced, "{}: traced faulted run diverged", app.name());
+        assert_eq!(counters.hub_resets, 1, "{}", app.name());
+        assert_eq!(
+            counters.samples_dropped,
+            plain.fault.samples_dropped,
+            "{}",
+            app.name()
         );
     }
 }
