@@ -12,7 +12,7 @@ use sidewinder_sim::report::Table;
 fn describe(name: &str, program: &Program) -> Vec<String> {
     let rates = ChannelRates::default();
     let cost = PipelineCost::analyze(program, &rates);
-    let mcu = Mcu::cheapest_for(program, &rates)
+    let mcu = Mcu::cheapest_for_cost(&cost)
         .map(|m| m.name.to_string())
         .unwrap_or_else(|e| format!("UNSCHEDULABLE: {e}"));
     println!("== {name} ==");

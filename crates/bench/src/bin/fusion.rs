@@ -1,11 +1,17 @@
 //! Ablation for the paper's §7 future-work idea: fusing concurrent
 //! wake-up conditions that share common algorithms.
+//!
+//! Each workload is fused the way the hub actually runs it: one IR
+//! program from `opt::fuse_programs` (former `OUT`s joined by `anyOf`),
+//! optimized with the digest-exact passes so CSE shares the common
+//! nodes, then compared against the conditions running separately.
 
 use sidewinder_apps::{accelerometer_apps, audio_apps};
 use sidewinder_bench::pct;
-use sidewinder_core::fusion::FusedPlan;
+use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::runtime::ChannelRates;
 use sidewinder_ir::Program;
+use sidewinder_opt::{fuse_programs, optimize, OptOptions};
 use sidewinder_sim::batch::par_map;
 use sidewinder_sim::report::Table;
 use sidewinder_sim::BatchRunner;
@@ -35,15 +41,19 @@ fn main() {
         BatchRunner::new().worker_count(),
         &workloads,
         |(label, programs)| {
-            let refs: Vec<&Program> = programs.iter().collect();
-            let report = FusedPlan::report(&refs, &ChannelRates::default())
-                .expect("evaluation conditions are valid");
+            let rates = ChannelRates::default();
+            let unfused_nodes: usize = programs.iter().map(|p| p.nodes().count()).sum();
+            let unfused_flops: f64 = programs
+                .iter()
+                .map(|p| PipelineCost::analyze(p, &rates).total_flops_per_second())
+                .sum();
+            let (_, report) = optimize(&fuse_programs(programs), &rates, &OptOptions::exact());
             [
                 label.to_string(),
-                report.unfused_nodes.to_string(),
-                report.fused_nodes.to_string(),
-                pct(report.node_saving()),
-                pct(report.compute_saving()),
+                unfused_nodes.to_string(),
+                report.nodes_after.to_string(),
+                pct(1.0 - report.nodes_after as f64 / unfused_nodes as f64),
+                pct(1.0 - report.flops_after / unfused_flops),
             ]
         },
     );
@@ -63,6 +73,7 @@ fn main() {
     println!(
         "The music and phrase conditions share their window+variance\n\
          branches, so fusing the audio applications removes duplicated\n\
-         hub work; unrelated conditions fuse poorly, as expected."
+         hub work; unrelated conditions fuse poorly, as expected, and\n\
+         pay for the anyOf node that joins their wakes."
     );
 }

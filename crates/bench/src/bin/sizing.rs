@@ -39,7 +39,7 @@ fn main() {
             let util = |mcu: &Mcu| {
                 cost.total_flops_per_second() * mcu.cycles_per_flop / mcu.cycle_budget()
             };
-            let cheapest = Mcu::cheapest_for(program, &rates);
+            let cheapest = Mcu::cheapest_for_cost(&cost);
             ConditionAnalysis {
                 name: name.clone(),
                 row: [
@@ -59,7 +59,7 @@ fn main() {
                         .floor();
                     (copies, mcu.name)
                 }),
-                fits_fpga: fpga.supports(program, &rates).is_ok(),
+                fits_fpga: fpga.supports_cost(&cost).is_ok(),
             }
         },
     );

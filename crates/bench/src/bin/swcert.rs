@@ -89,10 +89,7 @@ fn human_summary(name: &str, cert: &ResourceCert) -> String {
             let n = &cert.nodes[node as usize];
             out.push_str(&format!(
                 "  (peak: {} node {} at {} elements)",
-                n.kind,
-                n.ir_id
-                    .map_or_else(|| node.to_string(), |id| id.to_string()),
-                arena.peak_elements
+                n.kind, n.ir_id, arena.peak_elements
             ));
         }
         out.push('\n');

@@ -68,17 +68,17 @@ pub const SPEEDUP_FLOORS: [(&str, f64); 11] = [
 /// rule is immune to machine-speed drift; it pins what the optimizing
 /// compiler buys, not how fast this host is.
 ///
-/// * The optimized-fused row must hold at least 1.3x over the runtime
-///   fusion of the same two conditions — the paper's 1.34x fusion gap
-///   is the optimizer's to close, and losing CSE would silently reopen
-///   it.
+/// * The optimized-fused row must hold at least 2.0x over the same two
+///   conditions run as separate runtimes — one hub interpreting the
+///   CSE-shared condition plus its `anyOf` join instead of two; losing
+///   CSE would silently halve the win.
 /// * The Goertzel strength reduction must keep the narrow-band alarm
 ///   condition at least 2x cheaper than its filters-plus-FFT form.
 pub const RATIO_FLOORS: [(&str, &str, f64); 2] = [
     (
-        "concurrent_conditions/one_fused_runtime",
+        "concurrent_conditions/two_separate_runtimes",
         "concurrent_conditions/one_optimized_fused_runtime",
-        1.3,
+        2.0,
     ),
     (
         "siren_band_detection/narrowband_fft_pipeline",

@@ -11,7 +11,7 @@
 //! | `fig6`   | Fig. 6 — duty-cycling recall at 90 % idle |
 //! | `fig7`   | Fig. 7 — power relative to Oracle, human traces |
 //! | `sizing` | §3.8 — microcontroller sizing exploration |
-//! | `fusion` | §7 — pipeline-fusion ablation |
+//! | `fusion` | §7 — conditions fused by `opt::fuse_programs` + CSE |
 //! | `ablation` | parameter sweeps for DESIGN.md's design choices |
 //! | `concurrent` | §7 — several applications sharing one phone |
 //! | `latency` | §5.4 — batching's power/timeliness trade-off |

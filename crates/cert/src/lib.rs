@@ -7,18 +7,18 @@
 //! actually carves: the seven bump arenas were sized by folklore
 //! (`DEFAULT_ARENA`, hand-known 16k cores for music/phrase). `swcert`
 //! closes that gap with a certification pass over the compiled
-//! [`McuImage`] — the exact bytes an MCU would execute — deriving, per
-//! program, per precision, per target MCU:
+//! [`McuImage`](sidewinder_mcu::McuImage) — the exact bytes an MCU would
+//! execute — deriving, per program, per precision, per target MCU:
 //!
 //! * **arena occupancy** — exact per-arena element counts for all seven
 //!   arenas (via [`sidewinder_mcu::footprint`], the same accounting
 //!   `load` enforces), with per-arena attribution of the heaviest node;
 //! * **cycle bounds** — worst-case flops and cycles per second per
-//!   node, mirroring [`PipelineCost`](sidewinder_hub::cost::PipelineCost)
-//!   with bitwise-identical arithmetic so the certifier and the
-//!   SW006/SW007 lints provably agree;
+//!   node, read straight from [`PipelineCost::analyze`], the analysis
+//!   the SW006/SW007 lints run, so the two cannot disagree;
 //! * **schedulability** — worst-case cycles/second against the target
-//!   MCU's real-time budget and RAM;
+//!   MCU's real-time budget and RAM, chosen by
+//!   [`Mcu::cheapest_for_cost`], the lints' selection rule;
 //! * **an energy ceiling** — certified flop rate priced at
 //!   [`sidewinder_hub::energy::HUB_NJ_PER_FLOP`] plus certified wake
 //!   rate priced at the framed UART link cost, the same constants the
@@ -37,17 +37,17 @@ pub mod render;
 
 pub use render::{canonical_json, digest, fnv1a64, render_pins, PinEntry};
 
-use sidewinder_hub::cost::kind_cost;
+use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::energy::{HUB_NJ_PER_FLOP, LINK_ACTIVE_MW};
 use sidewinder_hub::fault::WAKE_FRAME_BYTES;
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::mcu::CapacityError;
 use sidewinder_hub::runtime::ChannelRates;
 use sidewinder_hub::{compile_image, HubError, Mcu};
-use sidewinder_ir::{AlgorithmKind, NodeId, Program, StatFn, WindowShapeParam};
-use sidewinder_mcu::footprint::{image_footprint, ArenaKind, ImageFootprint};
-use sidewinder_mcu::image::{MAX_CHANNELS, MAX_NODES};
-use sidewinder_mcu::{McuExecError, McuImage, NodeKind, PortSource, StatKind, WindowShape};
+use sidewinder_ir::{NodeId, Program};
+use sidewinder_mcu::footprint::{image_footprint, ArenaKind};
+use sidewinder_mcu::image::MAX_CHANNELS;
+use sidewinder_mcu::{McuExecError, PortSource};
 use sidewinder_sensors::SensorChannel;
 
 /// The sample payload width a certificate prices arenas at.
@@ -81,8 +81,8 @@ impl Precision {
 #[derive(Debug, Clone, Copy)]
 pub struct CertTarget {
     /// The MCU to check schedulability against; `None` means pick the
-    /// cheapest fitting part from [`Mcu::CATALOG`], exactly as
-    /// [`Mcu::cheapest_for`] (and therefore SW006/SW007) does.
+    /// cheapest fitting part from [`Mcu::CATALOG`] with
+    /// [`Mcu::cheapest_for_cost`], the rule SW006/SW007 use.
     pub mcu: Option<Mcu>,
     /// Core arena capacity (`CAP` of the `McuCore` the image targets).
     pub cap: usize,
@@ -122,8 +122,8 @@ pub struct NodeCert {
     pub index: u16,
     /// IR algorithm name (`window`, `fft`, …).
     pub kind: &'static str,
-    /// IR node id, when certified from a program.
-    pub ir_id: Option<u32>,
+    /// IR node id.
+    pub ir_id: u32,
     /// Source line, when certified from parsed text.
     pub line: Option<u32>,
     /// Emissions per second arriving at the node (sum over ports).
@@ -198,11 +198,10 @@ pub struct ResourceCert {
     pub nodes: Vec<NodeCert>,
     /// Dense per-channel sample rates the cert was derived at.
     pub channel_rates: [f64; MAX_CHANNELS],
-    /// Worst-case total flops per second (bitwise equal to
-    /// `PipelineCost::total_flops_per_second`).
+    /// Worst-case total flops per second
+    /// (`PipelineCost::total_flops_per_second`).
     pub total_flops_per_second: f64,
-    /// Host-model memory demand (bitwise equal to
-    /// `PipelineCost::total_memory_bytes`).
+    /// Host-model memory demand (`PipelineCost::total_memory_bytes`).
     pub total_memory_bytes: usize,
     /// Worst-case wake emissions per second.
     pub wake_rate_hz: f64,
@@ -256,33 +255,17 @@ pub fn dense_rates(rates: &ChannelRates) -> [f64; MAX_CHANNELS] {
     dense
 }
 
-/// Certifies a compiled image. Total: never panics; images carrying
-/// parameters `load` would reject return [`CertError::Image`].
-///
-/// # Errors
-///
-/// Returns [`CertError::Image`] when the image's footprint is
-/// undefined (bad node parameters).
-pub fn certify_image(
-    image: &McuImage,
-    rates: &ChannelRates,
-    precision: Precision,
-    target: &CertTarget,
-) -> Result<ResourceCert, CertError> {
-    let footprint = image_footprint(image).map_err(CertError::Image)?;
-    let dense = dense_rates(rates);
-    Ok(build_cert(image, &footprint, &dense, precision, target))
-}
-
-/// Compiles and certifies a program, enriching the certificate with IR
-/// node ids, source lines, and the abstract interpreter's (often
-/// tighter) wake-rate fact.
+/// Compiles and certifies a program. Per-node rates, flops and memory
+/// are [`PipelineCost::analyze`]'s own figures, so certificates and the
+/// SW006/SW007 lints read one computation; arena occupancy and channel
+/// masks come from the compiled image, and the abstract interpreter's
+/// (often tighter) wake-rate fact tightens the cost model's.
 ///
 /// # Errors
 ///
 /// Returns [`CertError::Compile`] when the program fails validation or
-/// exceeds image capacities, and [`CertError::Image`] as
-/// [`certify_image`] does.
+/// exceeds image capacities, and [`CertError::Image`] when the image's
+/// footprint is undefined (bad node parameters).
 pub fn certify_program(
     program: &Program,
     rates: &ChannelRates,
@@ -290,162 +273,54 @@ pub fn certify_program(
     target: &CertTarget,
 ) -> Result<ResourceCert, CertError> {
     let image = compile_image(program, rates)?;
-    let mut cert = certify_image(&image, rates, precision, target)?;
+    let footprint = image_footprint(&image).map_err(CertError::Image)?;
+    let cost = PipelineCost::analyze(program, rates);
+    let analysis = sidewinder_lint::absint::analyze(program, rates);
 
     // The image preserves statement order, so the i-th image node is the
-    // i-th program node; the abstract interpreter walks the same order.
-    let analysis = sidewinder_lint::absint::analyze(program, rates);
-    for (node, fact) in cert.nodes.iter_mut().zip(analysis.facts()) {
-        node.ir_id = Some(fact.id.0);
-        node.line = fact.line;
-    }
-    // Both the cost-mirror out-rate and the absint emission fact are
-    // sound wake-rate bounds; take the tighter.
-    if let Some(fact) = analysis.out_fact() {
-        if fact.rate_hz.is_finite() && fact.rate_hz < cert.wake_rate_hz {
-            cert.wake_rate_hz = fact.rate_hz;
-            cert.energy = energy_of(cert.total_flops_per_second, cert.wake_rate_hz);
-        }
-    }
-    Ok(cert)
-}
-
-fn energy_of(total_flops_per_second: f64, wake_rate_hz: f64) -> EnergyCert {
-    // flops/s × nJ/flop = nW; ×1e-3 → µW.
-    let compute_uw = total_flops_per_second * HUB_NJ_PER_FLOP * 1e-3;
-    let frame_s = SerialLink::NEXUS4_UART
-        .framed_transfer_time(WAKE_FRAME_BYTES)
-        .as_secs_f64();
-    // wakes/s × s/frame × mW = mW duty; ×1e3 → µW.
-    let link_uw = wake_rate_hz * frame_s * LINK_ACTIVE_MW * 1e3;
-    EnergyCert {
-        compute_uw,
-        link_uw,
-        total_uw: compute_uw + link_uw,
-    }
-}
-
-fn verdict_for(mcu: &Mcu, total_flops_per_second: f64, total_memory_bytes: usize) -> McuVerdict {
-    // The exact comparisons of `Mcu::supports_cost`, fed the mirror's
-    // bitwise-identical totals, so verdicts provably agree with
-    // SW006/SW007.
-    let demanded = total_flops_per_second * mcu.cycles_per_flop;
-    let error = if demanded > mcu.cycle_budget() {
-        Some(CapacityError::NotRealTime {
-            mcu: mcu.name,
-            demanded_cycles_per_s: demanded,
-            budget_cycles_per_s: mcu.cycle_budget(),
-        })
-    } else if total_memory_bytes > mcu.ram_bytes {
-        Some(CapacityError::OutOfMemory {
-            mcu: mcu.name,
-            demanded_bytes: total_memory_bytes,
-            ram_bytes: mcu.ram_bytes,
-        })
-    } else {
-        None
-    };
-    McuVerdict {
-        mcu: mcu.name,
-        awake_power_mw: mcu.awake_power_mw,
-        demanded_cycles_per_s: demanded,
-        budget_cycles_per_s: mcu.cycle_budget(),
-        memory_bytes: total_memory_bytes,
-        ram_bytes: mcu.ram_bytes,
-        error,
-    }
-}
-
-fn build_cert(
-    image: &McuImage,
-    footprint: &ImageFootprint,
-    dense: &[f64; MAX_CHANNELS],
-    precision: Precision,
-    target: &CertTarget,
-) -> ResourceCert {
-    let n = image.node_count();
-    let mut out_rate = [0.0f64; MAX_NODES];
-    let mut out_len = [1usize; MAX_NODES];
-    let mut out_base = [0.0f64; MAX_NODES];
-    let mut channels = [0u16; MAX_NODES];
-    let mut nodes = Vec::with_capacity(n);
-
-    for (i, spec) in image.nodes().iter().enumerate() {
+    // i-th program node, which the cost model also walks in order.
+    let mut channels: Vec<u16> = Vec::with_capacity(image.node_count());
+    let mut nodes = Vec::with_capacity(image.node_count());
+    for (i, ((spec, node), (_, _, kind))) in image
+        .nodes()
+        .iter()
+        .zip(cost.nodes())
+        .zip(program.nodes())
+        .enumerate()
+    {
         let sources = &spec.sources[..(spec.port_count as usize).min(spec.sources.len())];
-        // Mirror of `PipelineCost::analyze`, edge for edge: summed input
-        // rate, max input length (channels count as scalars), max base
-        // rate. Out-of-range references (impossible in built images, but
-        // certification is total) take the analyzer's defaults.
-        let src_rates: Vec<f64> = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(c) => dense.get(*c as usize).copied().unwrap_or(0.0),
-                PortSource::Node(s) if (*s as usize) < i => out_rate[*s as usize],
-                PortSource::Node(_) => 0.0,
-            })
-            .collect();
-        let input_rate: f64 = src_rates.iter().sum();
-        let input_len = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(_) => 1,
-                PortSource::Node(s) if (*s as usize) < i => out_len[*s as usize],
-                PortSource::Node(_) => 1,
-            })
-            .max()
-            .unwrap_or(1);
-        let input_base = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(c) => dense.get(*c as usize).copied().unwrap_or(0.0),
-                PortSource::Node(s) if (*s as usize) < i => out_base[*s as usize],
-                PortSource::Node(_) => 0.0,
-            })
-            .fold(0.0, f64::max);
-        let kind = algorithm_of(&spec.kind);
-        let (flops, mem, mut rate_out, len_out) =
-            kind_cost(&kind, input_rate, input_len, input_base);
-        if matches!(kind, AlgorithmKind::VectorMagnitude | AlgorithmKind::AllOf) {
-            rate_out = src_rates.iter().copied().fold(f64::INFINITY, f64::min);
-            if !rate_out.is_finite() {
-                rate_out = 0.0;
-            }
-        }
         let mask = sources.iter().fold(0u16, |acc, s| match s {
             PortSource::Channel(c) => acc | 1u16.checked_shl(u32::from(*c)).unwrap_or(0),
-            PortSource::Node(s) if (*s as usize) < i => acc | channels[*s as usize],
-            PortSource::Node(_) => acc,
+            PortSource::Node(s) => acc | channels.get(*s as usize).copied().unwrap_or(0),
         });
-
+        channels.push(mask);
         nodes.push(NodeCert {
             index: i as u16,
             kind: kind.ir_name(),
-            ir_id: None,
-            line: None,
-            input_rate_hz: input_rate,
-            out_rate_hz: rate_out,
-            out_len: len_out,
-            base_rate_hz: input_base,
+            ir_id: node.id.0,
+            line: analysis.fact(node.id).and_then(|f| f.line),
+            input_rate_hz: node.input_rate_hz,
+            out_rate_hz: node.out_rate_hz,
+            out_len: node.out_len,
+            base_rate_hz: node.base_rate_hz,
             channels_mask: mask,
-            flops_per_input: flops,
-            flops_per_second: input_rate * flops,
-            memory_bytes: mem,
+            flops_per_input: node.flops_per_input,
+            flops_per_second: node.flops_per_second(),
+            memory_bytes: node.memory_bytes,
         });
-        if i < MAX_NODES {
-            out_rate[i] = rate_out;
-            out_len[i] = len_out;
-            out_base[i] = input_base;
-            channels[i] = mask;
-        }
     }
 
-    let total_flops_per_second: f64 = nodes.iter().map(|n| n.flops_per_second).sum();
-    let total_memory_bytes: usize = nodes.iter().map(|n| n.memory_bytes).sum();
-    let wake_rate_hz = if image.out_index() < n {
-        out_rate[image.out_index()]
-    } else {
-        0.0
-    };
+    // Both the cost model's out-rate and the absint emission fact are
+    // sound wake-rate bounds; take the tighter.
+    let mut wake_rate_hz = cost
+        .nodes()
+        .get(image.out_index())
+        .map_or(0.0, |n| n.out_rate_hz);
+    if let Some(fact) = analysis.out_fact() {
+        if fact.rate_hz.is_finite() && fact.rate_hz < wake_rate_hz {
+            wake_rate_hz = fact.rate_hz;
+        }
+    }
 
     let sample_bytes = precision.sample_bytes();
     let arenas = ArenaKind::ALL.map(|k| {
@@ -460,26 +335,18 @@ fn build_cert(
         }
     });
 
-    let mcu = match target.mcu {
-        Some(mcu) => verdict_for(&mcu, total_flops_per_second, total_memory_bytes),
-        None => {
-            // Auto: the cheapest fitting catalog part, or the last
-            // part's verdict when nothing fits — `Mcu::cheapest_for`'s
-            // selection rule.
-            let mut verdict = None;
-            for mcu in &Mcu::CATALOG {
-                let v = verdict_for(mcu, total_flops_per_second, total_memory_bytes);
-                let done = v.error.is_none();
-                verdict = Some(v);
-                if done {
-                    break;
-                }
-            }
-            verdict.expect("catalog is non-empty")
-        }
+    let (mcu, error) = match target.mcu {
+        Some(mcu) => (mcu, mcu.supports_cost(&cost).err()),
+        None => match Mcu::cheapest_for_cost(&cost) {
+            Ok(mcu) => (mcu, None),
+            // Nothing fits: the error is the last catalog part's.
+            Err(e) => (Mcu::CATALOG[Mcu::CATALOG.len() - 1], Some(e)),
+        },
     };
+    let total_flops_per_second = cost.total_flops_per_second();
+    let total_memory_bytes = cost.total_memory_bytes();
 
-    ResourceCert {
+    Ok(ResourceCert {
         precision,
         cap: target.cap,
         required_capacity: footprint.required_capacity(),
@@ -487,12 +354,35 @@ fn build_cert(
         total_bytes: footprint.total_bytes(sample_bytes),
         arenas,
         nodes,
-        channel_rates: *dense,
+        channel_rates: dense_rates(rates),
         total_flops_per_second,
         total_memory_bytes,
         wake_rate_hz,
-        mcu,
+        mcu: McuVerdict {
+            mcu: mcu.name,
+            awake_power_mw: mcu.awake_power_mw,
+            demanded_cycles_per_s: total_flops_per_second * mcu.cycles_per_flop,
+            budget_cycles_per_s: mcu.cycle_budget(),
+            memory_bytes: total_memory_bytes,
+            ram_bytes: mcu.ram_bytes,
+            error,
+        },
         energy: energy_of(total_flops_per_second, wake_rate_hz),
+    })
+}
+
+fn energy_of(total_flops_per_second: f64, wake_rate_hz: f64) -> EnergyCert {
+    // flops/s × nJ/flop = nW; ×1e-3 → µW.
+    let compute_uw = total_flops_per_second * HUB_NJ_PER_FLOP * 1e-3;
+    let frame_s = SerialLink::NEXUS4_UART
+        .framed_transfer_time(WAKE_FRAME_BYTES)
+        .as_secs_f64();
+    // wakes/s × s/frame × mW = mW duty; ×1e3 → µW.
+    let link_uw = wake_rate_hz * frame_s * LINK_ACTIVE_MW * 1e3;
+    EnergyCert {
+        compute_uw,
+        link_uw,
+        total_uw: compute_uw + link_uw,
     }
 }
 
@@ -553,9 +443,9 @@ pub fn diagnostics(cert: &ResourceCert) -> Vec<sidewinder_lint::Diagnostic> {
                 Some(i) => {
                     let n = &cert.nodes[i as usize];
                     (
-                        n.ir_id.map(NodeId),
+                        Some(NodeId(n.ir_id)),
                         n.line,
-                        format!("{}#{}", n.kind, n.ir_id.unwrap_or(u32::from(n.index))),
+                        format!("{}#{}", n.kind, n.ir_id),
                     )
                 }
                 None => (None, None, String::from("<none>")),
@@ -579,7 +469,7 @@ pub fn diagnostics(cert: &ResourceCert) -> Vec<sidewinder_lint::Diagnostic> {
             .max_by(|a, b| a.flops_per_second.total_cmp(&b.flops_per_second));
         out.push(Diagnostic::new(
             LintCode::MissedDeadline,
-            heavy.and_then(|n| n.ir_id.map(NodeId)),
+            heavy.map(|n| NodeId(n.ir_id)),
             heavy.and_then(|n| n.line),
             format!("certified demand is unschedulable: {err}"),
         ));
@@ -587,64 +477,9 @@ pub fn diagnostics(cert: &ResourceCert) -> Vec<sidewinder_lint::Diagnostic> {
     out
 }
 
-/// Image node kind → IR algorithm — the inverse of the compiler's
-/// one-way bridge, so the certifier can feed the image through the
-/// host's cost table. `Sustained`'s `max_gap` saturates back to `u32`;
-/// the cost table ignores it.
-fn algorithm_of(kind: &NodeKind) -> AlgorithmKind {
-    match *kind {
-        NodeKind::Window { size, hop, shape } => AlgorithmKind::Window {
-            size,
-            hop,
-            shape: match shape {
-                WindowShape::Rectangular => WindowShapeParam::Rectangular,
-                WindowShape::Hamming => WindowShapeParam::Hamming,
-                WindowShape::Hann => WindowShapeParam::Hann,
-            },
-        },
-        NodeKind::Fft => AlgorithmKind::Fft,
-        NodeKind::Ifft => AlgorithmKind::Ifft,
-        NodeKind::SpectralMagnitude => AlgorithmKind::SpectralMagnitude,
-        NodeKind::MovingAvg { window } => AlgorithmKind::MovingAvg { window },
-        NodeKind::ExpMovingAvg { alpha } => AlgorithmKind::ExpMovingAvg { alpha },
-        NodeKind::LowPass { cutoff_hz } => AlgorithmKind::LowPass { cutoff_hz },
-        NodeKind::HighPass { cutoff_hz } => AlgorithmKind::HighPass { cutoff_hz },
-        NodeKind::VectorMagnitude => AlgorithmKind::VectorMagnitude,
-        NodeKind::Zcr => AlgorithmKind::Zcr,
-        NodeKind::ZcrVariance { sub_windows } => AlgorithmKind::ZcrVariance { sub_windows },
-        NodeKind::Stat(f) => AlgorithmKind::Stat(match f {
-            StatKind::Mean => StatFn::Mean,
-            StatKind::Variance => StatFn::Variance,
-            StatKind::StdDev => StatFn::StdDev,
-            StatKind::MeanAbs => StatFn::MeanAbs,
-            StatKind::Rms => StatFn::Rms,
-            StatKind::Energy => StatFn::Energy,
-            StatKind::Min => StatFn::Min,
-            StatKind::Max => StatFn::Max,
-            StatKind::PeakToPeak => StatFn::PeakToPeak,
-        }),
-        NodeKind::DominantRatio => AlgorithmKind::DominantRatio,
-        NodeKind::DominantFreq => AlgorithmKind::DominantFreq,
-        NodeKind::Goertzel { lo_hz, hi_hz } => AlgorithmKind::Goertzel { lo_hz, hi_hz },
-        NodeKind::GoertzelFreq { lo_hz, hi_hz } => AlgorithmKind::GoertzelFreq { lo_hz, hi_hz },
-        NodeKind::GoertzelRatio { lo_hz, hi_hz } => AlgorithmKind::GoertzelRatio { lo_hz, hi_hz },
-        NodeKind::MinThreshold { threshold } => AlgorithmKind::MinThreshold { threshold },
-        NodeKind::MaxThreshold { threshold } => AlgorithmKind::MaxThreshold { threshold },
-        NodeKind::BandThreshold { lo, hi } => AlgorithmKind::BandThreshold { lo, hi },
-        NodeKind::OutsideThreshold { lo, hi } => AlgorithmKind::OutsideThreshold { lo, hi },
-        NodeKind::Sustained { count, max_gap } => AlgorithmKind::Sustained {
-            count,
-            max_gap: u32::try_from(max_gap).unwrap_or(u32::MAX),
-        },
-        NodeKind::AllOf => AlgorithmKind::AllOf,
-        NodeKind::AnyOf => AlgorithmKind::AnyOf,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidewinder_hub::cost::PipelineCost;
     use sidewinder_lint::LintCode;
 
     fn fig2() -> Program {
@@ -670,48 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn mirror_totals_are_bitwise_equal_to_the_cost_model() {
-        for program in [fig2(), audio()] {
-            let rates = ChannelRates::default();
-            let cost = PipelineCost::analyze(&program, &rates);
-            let cert =
-                certify_program(&program, &rates, Precision::F64, &CertTarget::default()).unwrap();
-            assert_eq!(
-                cert.total_flops_per_second.to_bits(),
-                cost.total_flops_per_second().to_bits(),
-                "flops must agree bit for bit"
-            );
-            assert_eq!(cert.total_memory_bytes, cost.total_memory_bytes());
-            for (nc, cc) in cert.nodes.iter().zip(cost.nodes()) {
-                assert_eq!(nc.input_rate_hz.to_bits(), cc.input_rate_hz.to_bits());
-                assert_eq!(nc.flops_per_input.to_bits(), cc.flops_per_input.to_bits());
-                assert_eq!(nc.memory_bytes, cc.memory_bytes);
-                assert_eq!(nc.ir_id, Some(cc.id.0));
-            }
-        }
-    }
-
-    #[test]
-    fn verdict_matches_cheapest_for() {
-        let rates = ChannelRates::default();
-        for program in [fig2(), audio()] {
-            let cert =
-                certify_program(&program, &rates, Precision::F64, &CertTarget::default()).unwrap();
-            match Mcu::cheapest_for(&program, &rates) {
-                Ok(mcu) => {
-                    assert_eq!(cert.mcu.mcu, mcu.name);
-                    assert!(cert.mcu.error.is_none());
-                }
-                Err(_) => assert!(cert.mcu.error.is_some()),
-            }
-        }
-    }
-
-    #[test]
     fn arena_occupancy_matches_the_footprint_and_the_load() {
         let rates = ChannelRates::default();
         let image = compile_image(&audio(), &rates).unwrap();
-        let cert = certify_image(&image, &rates, Precision::F64, &CertTarget::default()).unwrap();
+        let cert =
+            certify_program(&audio(), &rates, Precision::F64, &CertTarget::default()).unwrap();
         let foot = image_footprint(&image).unwrap();
         for (kind, arena) in ArenaKind::ALL.iter().zip(&cert.arenas) {
             assert_eq!(arena.elements, foot.arena(*kind).elements);

@@ -87,7 +87,7 @@ pub fn canonical_json(cert: &ResourceCert) -> String {
              \"flops_per_second\": {}, \"memory_bytes\": {}}}{}\n",
             n.index,
             n.kind,
-            opt_u32(n.ir_id),
+            n.ir_id,
             opt_u32(n.line),
             float(n.input_rate_hz),
             float(n.out_rate_hz),

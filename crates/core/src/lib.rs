@@ -60,7 +60,6 @@
 
 pub mod algorithm;
 pub mod compile;
-pub mod fusion;
 pub mod listener;
 pub mod manager;
 pub mod pipeline;

@@ -137,9 +137,21 @@ impl Mcu {
     ///
     /// Returns the last [`CapacityError`] if no catalog MCU suffices.
     pub fn cheapest_for(program: &Program, rates: &ChannelRates) -> Result<Mcu, CapacityError> {
+        Mcu::cheapest_for_cost(&PipelineCost::analyze(program, rates))
+    }
+
+    /// Picks the lowest-power MCU from the catalog able to run an
+    /// already-analyzed pipeline. This is the one selection rule: the
+    /// SW006/SW007 lints and the resource certificate both call it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the last catalog part's [`CapacityError`] if no catalog
+    /// MCU suffices.
+    pub fn cheapest_for_cost(cost: &PipelineCost) -> Result<Mcu, CapacityError> {
         let mut last_err = None;
         for mcu in Mcu::CATALOG {
-            match mcu.supports(program, rates) {
+            match mcu.supports_cost(cost) {
                 Ok(()) => return Ok(mcu),
                 Err(e) => last_err = Some(e),
             }

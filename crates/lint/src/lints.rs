@@ -202,7 +202,7 @@ fn schedulability(
         return;
     }
     let attribution = attribution(&cost, analysis);
-    match Mcu::cheapest_for(program, rates) {
+    match Mcu::cheapest_for_cost(&cost) {
         Ok(mcu) if mcu == Mcu::CATALOG[0] => {}
         Ok(mcu) => {
             // Fitting only the bigger part is legitimate (the paper's

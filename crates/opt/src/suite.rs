@@ -1,10 +1,9 @@
 //! Cross-application suite optimization.
 //!
-//! A hub runs many applications' wake conditions at once, and the
-//! fusion gap (one merged runtime is only ~1.34x cheaper than N
-//! separate ones) comes largely from duplicated front ends: several
-//! apps windowing, filtering, and FFT-ing the same microphone channel
-//! with the same parameters. [`optimize_suite`] optimizes each program
+//! A hub runs many applications' wake conditions at once, and much of
+//! their cost is duplicated front ends: several apps windowing,
+//! filtering, and FFT-ing the same microphone channel with the same
+//! parameters. [`optimize_suite`] optimizes each program
 //! individually, then deduplicates whole programs *up to node-id
 //! renaming* — two apps whose optimized conditions are structurally
 //! identical share one interpreter instance, and each wake from the
@@ -60,10 +59,10 @@ impl SuiteResult {
 /// (waking when *any* constituent condition wakes). A single input
 /// passes through with its own `OUT` kept.
 ///
-/// This is the textual-IR counterpart of the hub's runtime-level
-/// fusion: once the conditions live in one program, [`crate::passes::cse`]
-/// can merge the windows/filters/FFTs they share, which separate
-/// runtime instances never could.
+/// This is how concurrent conditions share one hub (paper §7): once
+/// they live in one program, [`crate::passes::cse`] can merge the
+/// windows/filters/FFTs they share, which separate runtime instances
+/// never could, and the hub runs the result on one `HubRuntime`.
 ///
 /// Total on malformed input: unmapped node references and missing `OUT`
 /// statements are skipped, never panicked on.

@@ -6,8 +6,9 @@
 //! Run with: `cargo run --release --example music_journal`
 
 use sidewinder::apps::{MusicJournalApp, PhraseDetectionApp};
-use sidewinder::core::fusion::{FusedPlan, FusedRuntime};
-use sidewinder::hub::runtime::ChannelRates;
+use sidewinder::hub::cost::PipelineCost;
+use sidewinder::hub::runtime::{ChannelRates, HubRuntime};
+use sidewinder::opt::{fuse_programs, optimize, OptOptions};
 use sidewinder::sensors::{EventKind, Micros, SensorChannel};
 use sidewinder::sim::Application;
 use sidewinder::tracegen::{audio_trace, AudioEnvironment, AudioTraceConfig};
@@ -33,31 +34,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let music_program = music.wake_condition();
     let phrase_program = phrase.wake_condition();
 
-    // Fuse the two conditions: they share their feature branches.
-    let report = FusedPlan::report(&[&music_program, &phrase_program], &ChannelRates::default())?;
+    // Fuse the two conditions into one program (their wakes joined by
+    // `anyOf`) and let CSE share their feature branches.
+    let rates = ChannelRates::default();
+    let unfused_nodes = music_program.nodes().count() + phrase_program.nodes().count();
+    let unfused_flops = PipelineCost::analyze(&music_program, &rates).total_flops_per_second()
+        + PipelineCost::analyze(&phrase_program, &rates).total_flops_per_second();
+    let (fused, report) = optimize(
+        &fuse_programs(&[music_program, phrase_program]),
+        &rates,
+        &OptOptions::exact(),
+    );
     println!(
-        "Fusion (paper S7): {} nodes -> {} shared instances ({:.0}% node saving, {:.0}% compute saving)\n",
-        report.unfused_nodes,
-        report.fused_nodes,
-        report.node_saving() * 100.0,
-        report.compute_saving() * 100.0,
+        "Fusion (paper S7): {unfused_nodes} nodes -> {} in one program \
+         ({:.0}% node saving, {:.0}% compute saving)\n",
+        report.nodes_after,
+        (1.0 - report.nodes_after as f64 / unfused_nodes as f64) * 100.0,
+        (1.0 - report.flops_after / unfused_flops) * 100.0,
     );
 
-    // Run both conditions on one fused hub over the trace.
-    let plan = FusedPlan::fuse(&[&music_program, &phrase_program])?;
-    let mut hub = FusedRuntime::load(&plan, &ChannelRates::default())?;
+    // Run both conditions as that one program on a single hub.
+    let mut hub = HubRuntime::load(&fused, &rates)?;
     let mic = trace.channel(SensorChannel::Mic).expect("audio trace");
-    let mut music_wakes = 0usize;
-    let mut phrase_wakes = 0usize;
-    for &sample in mic.samples() {
-        for (which, _) in hub.push_sample(SensorChannel::Mic, sample)? {
-            match which {
-                0 => music_wakes += 1,
-                _ => phrase_wakes += 1,
-            }
-        }
-    }
-    println!("Hub wake-ups: music condition {music_wakes}, phrase condition {phrase_wakes}");
+    let wakes = hub.push_samples(SensorChannel::Mic, mic.samples())?.len();
+    println!("Hub wake-ups (music or phrase condition): {wakes}");
 
     // On each music wake the main CPU would query the Echoprint stand-in;
     // here we just run the classifier over the full trace for the journal.

@@ -3,15 +3,17 @@
 //! hub interpreter, trace persistence, and the simulator.
 
 use sidewinder::core::algorithm::{MinThreshold, MovingAverage, VectorMagnitude};
-use sidewinder::core::fusion::{FusedPlan, FusedRuntime};
 use sidewinder::core::{
     ProcessingBranch, ProcessingPipeline, SensorEvent, SidewinderSensorManager,
 };
 use sidewinder::hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder::ir::Program;
+use sidewinder::opt::{fuse_programs, optimize, OptOptions};
 use sidewinder::sensors::{csv, EventKind, Micros, SensorChannel};
 use sidewinder::sim::{simulate, Application, PhonePowerProfile, SimConfig, Strategy};
-use sidewinder::tracegen::{robot_run, RobotRunConfig};
+use sidewinder::tracegen::{
+    audio_trace, robot_run, AudioEnvironment, AudioTraceConfig, RobotRunConfig,
+};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -115,36 +117,50 @@ fn generated_trace_survives_csv_round_trip_with_identical_simulation() {
 }
 
 #[test]
-fn fused_runtime_agrees_with_separate_runtimes_on_audio_conditions() {
+fn fused_join_wakes_iff_a_separate_runtime_wakes_on_a_cafe_trace() {
     let music = sidewinder::apps::MusicJournalApp::new().wake_condition();
     let phrase = sidewinder::apps::PhraseDetectionApp::new().wake_condition();
-    let plan = FusedPlan::fuse(&[&music, &phrase]).unwrap();
-    assert!(plan.node_count() < music.nodes().count() + phrase.nodes().count());
-
     let rates = ChannelRates::default();
-    let mut fused = FusedRuntime::load(&plan, &rates).unwrap();
+    let (fused, report) = optimize(
+        &fuse_programs(&[music.clone(), phrase.clone()]),
+        &rates,
+        &OptOptions::exact(),
+    );
+    assert!(
+        report.duplicates_merged > 0,
+        "CSE must share the common nodes"
+    );
+
+    let mut fused = HubRuntime::load(&fused, &rates).unwrap();
     let mut solo_music = HubRuntime::load(&music, &rates).unwrap();
     let mut solo_phrase = HubRuntime::load(&phrase, &rates).unwrap();
 
-    // A deterministic loud modulated signal that exercises both
-    // conditions.
-    for i in 0..20_000u64 {
-        let t = i as f64 / 8000.0;
-        let v = if ((t * 4.0) as u64).is_multiple_of(2) {
-            0.25 * (2.0 * std::f64::consts::PI * 300.0 * t).sin()
-        } else if i % 2 == 0 {
-            0.15
-        } else {
-            -0.15
-        };
-        let fused_wakes = fused.push_sample(SensorChannel::Mic, v).unwrap();
-        let m = solo_music.push_sample(SensorChannel::Mic, v).unwrap();
-        let p = solo_phrase.push_sample(SensorChannel::Mic, v).unwrap();
-        let fused_music: Vec<_> = fused_wakes.iter().filter(|(i, _)| *i == 0).collect();
-        let fused_phrase: Vec<_> = fused_wakes.iter().filter(|(i, _)| *i == 1).collect();
-        assert_eq!(fused_music.len(), m.len(), "music mismatch at sample {i}");
-        assert_eq!(fused_phrase.len(), p.len(), "phrase mismatch at sample {i}");
+    let trace = audio_trace(&AudioTraceConfig {
+        duration: Micros::from_secs(60),
+        environment: AudioEnvironment::CoffeeShop,
+        seed: 99,
+        ..AudioTraceConfig::default()
+    });
+    let mic = trace.channel(SensorChannel::Mic).unwrap();
+    let (mut music_wakes, mut phrase_wakes) = (0, 0);
+    for (i, &v) in mic.samples().iter().enumerate() {
+        let m = !solo_music
+            .push_sample(SensorChannel::Mic, v)
+            .unwrap()
+            .is_empty();
+        let p = !solo_phrase
+            .push_sample(SensorChannel::Mic, v)
+            .unwrap()
+            .is_empty();
+        let f = !fused.push_sample(SensorChannel::Mic, v).unwrap().is_empty();
+        assert_eq!(f, m || p, "fused join disagrees at sample {i}");
+        music_wakes += usize::from(m);
+        phrase_wakes += usize::from(p);
     }
+    assert!(
+        music_wakes > 0 && phrase_wakes > 0,
+        "{music_wakes} / {phrase_wakes}"
+    );
 }
 
 #[test]
