@@ -1,6 +1,6 @@
 //! Uniformly sampled time series.
 
-use crate::time::{sample_time, Micros};
+use crate::time::Micros;
 
 /// A uniformly sampled signal: a sample rate plus a sample vector, starting
 /// at trace time zero.
@@ -89,9 +89,13 @@ impl TimeSeries {
         Micros::from_secs_f64(self.samples.len() as f64 / self.rate_hz)
     }
 
-    /// Timestamp of the sample at `index`.
+    /// Timestamp of the sample at `index`: [`sample_time`] at this
+    /// series' rate, without its check, which construction already made.
+    ///
+    /// [`sample_time`]: crate::time::sample_time
+    #[inline]
     pub fn time_of(&self, index: usize) -> Micros {
-        sample_time(index, self.rate_hz)
+        Micros::from_secs_f64(index as f64 / self.rate_hz)
     }
 
     /// Index of the sample covering time `t`, or `None` past the end.

@@ -45,6 +45,7 @@ impl Micros {
 
     /// Constructs from fractional seconds, rounding to the nearest
     /// microsecond. Negative or non-finite input clamps to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Micros::ZERO;

@@ -87,11 +87,10 @@ pub fn simulate_concurrent(
     let mut wake_times: Vec<Vec<Micros>> = vec![Vec::new(); apps.len()];
     for (i, run) in ChannelMerge::new(&series) {
         for idx in run {
-            let t = series[i].time_of(idx);
             let sample = series[i].samples()[idx];
             for (app_idx, runtime) in runtimes.iter_mut().enumerate() {
                 if !runtime.push_sample(channels[i], sample)?.is_empty() {
-                    wake_times[app_idx].push(t);
+                    wake_times[app_idx].push(series[i].time_of(idx));
                 }
             }
         }

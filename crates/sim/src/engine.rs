@@ -433,36 +433,78 @@ pub(crate) fn channel_series<'t>(
 /// Time-ordered replay of several series: yields `(position, samples)`
 /// runs of consecutive samples from one series, in exactly the order a
 /// serial pick would feed them one by one — the earliest next sample
-/// first, and on equal times the series at the smaller position.
+/// first, and on equal times the series at the smaller position. Runs are
+/// maximal, so consecutive runs come from different series.
+///
+/// The merge evaluates a timestamp only where the order is not already
+/// known. A series with no other series left is one run to its end. When
+/// [`index_ordered`] holds, the cursors alone decide the pick. Otherwise a
+/// run ends at the first sample whose time loses the pick, found by
+/// galloping from the run start and then bisecting.
 pub(crate) struct ChannelMerge<'s, 't> {
     series: &'s [&'t TimeSeries],
     cursors: Vec<usize>,
+    /// Whether [`index_ordered`] holds, so `heads` is not kept.
+    by_index: bool,
     /// Trace time of each series' next sample; `None` once it is used up.
     heads: Vec<Option<Micros>>,
 }
 
 impl<'s, 't> ChannelMerge<'s, 't> {
     pub(crate) fn new(series: &'s [&'t TimeSeries]) -> Self {
+        let by_index = index_ordered(series);
         ChannelMerge {
             series,
             cursors: vec![0; series.len()],
-            heads: series
-                .iter()
-                .map(|s| (!s.is_empty()).then(|| s.time_of(0)))
-                .collect(),
+            by_index,
+            heads: if by_index {
+                Vec::new()
+            } else {
+                // Every series starts at time zero.
+                series
+                    .iter()
+                    .map(|s| (!s.is_empty()).then_some(Micros::ZERO))
+                    .collect()
+            },
         }
     }
-}
 
-impl Iterator for ChannelMerge<'_, '_> {
-    type Item = (usize, Range<usize>);
+    /// Index order: the live series with the smallest cursor, the
+    /// smaller position on equal cursors, feeds one sample. Every other
+    /// live series then wins the next pick: one at a smaller position
+    /// waits at the index the picked series moves to and wins the tie,
+    /// one at a larger position waits at the index just fed. So a run
+    /// longer than one sample needs every other series used up, and is
+    /// then the rest of the series.
+    fn next_by_index(&mut self) -> Option<(usize, Range<usize>)> {
+        let mut pick: Option<usize> = None;
+        let mut live = 0;
+        for (j, s) in self.series.iter().enumerate() {
+            let cursor = self.cursors[j];
+            if cursor < s.len() {
+                live += 1;
+                if pick.is_none_or(|p| cursor < self.cursors[p]) {
+                    pick = Some(j);
+                }
+            }
+        }
+        let i = pick?;
+        let start = self.cursors[i];
+        let end = if live == 1 {
+            self.series[i].len()
+        } else {
+            start + 1
+        };
+        self.cursors[i] = end;
+        Some((i, start..end))
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next_clocked(&mut self) -> Option<(usize, Range<usize>)> {
         let mut best: Option<(usize, Micros)> = None;
-        for (i, head) in self.heads.iter().enumerate() {
+        for (j, head) in self.heads.iter().enumerate() {
             if let Some(t) = *head {
                 if best.is_none_or(|(_, bt)| t < bt) {
-                    best = Some((i, t));
+                    best = Some((j, t));
                 }
             }
         }
@@ -473,22 +515,90 @@ impl Iterator for ChannelMerge<'_, '_> {
         // later than series at a larger one.
         let before = self.heads[..i].iter().flatten().min().copied();
         let after = self.heads[i + 1..].iter().flatten().min().copied();
+        let wins = |t: Micros| before.is_none_or(|m| t < m) && after.is_none_or(|m| t <= m);
         let series = self.series[i];
         let start = self.cursors[i];
-        let mut end = start + 1;
-        self.heads[i] = loop {
-            if end == series.len() {
-                break None;
+        // `won` is the last sample known to win the pick; `lost` is the
+        // first known to lose it (its time in `lost_at`), or the series
+        // end. With no other series left, the rest is one run.
+        let (mut won, mut lost, mut lost_at) = (start, series.len(), None);
+        if before.is_some() || after.is_some() {
+            // `time_of` never decreases along a series, so the winners are
+            // a prefix. Gallop from the start, so that a one-sample run
+            // costs one timestamp, then bisect the last gap.
+            let mut step = 1;
+            while start + step < lost {
+                let t = series.time_of(start + step);
+                if !wins(t) {
+                    (lost, lost_at) = (start + step, Some(t));
+                    break;
+                }
+                won = start + step;
+                step *= 2;
             }
-            let t = series.time_of(end);
-            if before.is_some_and(|m| t >= m) || after.is_some_and(|m| t > m) {
-                break Some(t);
+            while lost - won > 1 {
+                let mid = won + (lost - won) / 2;
+                let t = series.time_of(mid);
+                if wins(t) {
+                    won = mid;
+                } else {
+                    (lost, lost_at) = (mid, Some(t));
+                }
             }
-            end += 1;
-        };
-        self.cursors[i] = end;
-        Some((i, start..end))
+        }
+        self.heads[i] = lost_at;
+        self.cursors[i] = lost;
+        Some((i, start..lost))
     }
+}
+
+/// Whether every series shares one rate at which all their µs stamps
+/// strictly increase. Equal indices then have equal stamps, so the serial
+/// pick is index order, then position order, and needs no clock.
+///
+/// Stamp `k` is `round(fl(fl(k / rate) * 1e6))`, with `k` exact in an f64.
+/// Each float operation errs by at most one part in 2^53, so below 1e9 s
+/// (1e15 µs) the value rounded is within 0.23 µs of the exact
+/// `k * 1e6 / rate`. At 500 kHz or less the exact values are at least
+/// 2 µs apart, and rounding moves each by at most 0.5 µs, so consecutive
+/// stamps differ by more than `2 - 2 * 0.23 - 1 > 0`. Above about 1 MHz
+/// consecutive samples can share a stamp, so faster series take the
+/// clocked path.
+fn index_ordered(series: &[&TimeSeries]) -> bool {
+    let Some(rate) = series.first().map(|s| s.rate_hz()) else {
+        return false;
+    };
+    rate <= 500_000.0
+        && series
+            .iter()
+            .all(|s| s.rate_hz() == rate && (s.len() as f64) < 1e9 * rate)
+}
+
+impl Iterator for ChannelMerge<'_, '_> {
+    type Item = (usize, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.by_index {
+            self.next_by_index()
+        } else {
+            self.next_clocked()
+        }
+    }
+}
+
+/// The first index in `range` whose sample lies at or past `t`, or
+/// `range.end`. Stamps never decrease along a series, so it bisects.
+fn first_at_or_after(series: &TimeSeries, range: Range<usize>, t: Micros) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if series.time_of(mid) >= t {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Which series index each hub sequence number on one channel came from,
@@ -581,16 +691,18 @@ fn hub_wake<P: Sample, S: EventSink>(
     let mut seq_maps = vec![SeqMap::default(); channels.len()];
     let mut wake_seqs: Vec<u64> = Vec::new();
     let mut next_reset = 0usize;
-    // Per channel: whether its samples are being dropped, and the fault
-    // boundary up to which that holds (`None`: to the end of the trace).
-    let mut state = vec![(false, Some(Micros::ZERO)); channels.len()];
+    // Per channel: whether its samples are being dropped, and its first
+    // sample at or past the next fault boundary, up to which that holds
+    // (`None`: to the end of the trace). Holding the boundary as a sample
+    // index lets the loop skip every sample's time until it is reached.
+    let mut state = vec![(false, Some(0)); channels.len()];
 
     for (i, run) in ChannelMerge::new(&series) {
         let (channel, series) = (channels[i], series[i]);
         let mut start = run.start;
         while start < run.end {
-            let t = series.time_of(start);
-            if state[i].1.is_some_and(|boundary| t >= boundary) {
+            if state[i].1.is_some_and(|boundary| start >= boundary) {
+                let t = series.time_of(start);
                 // Fire any watchdog reset that has come due: the hub
                 // loses all filter state and its sequence counters, and
                 // the phone pays reboot + re-download + probe to bring it
@@ -611,14 +723,13 @@ fn hub_wake<P: Sample, S: EventSink>(
                     next_reset += 1;
                 }
                 let dropped = plan.hub_down_at(t) || plan.channel_dropped(channel, t);
-                state[i] = (dropped, plan.next_boundary(channel, t));
+                let boundary = plan
+                    .next_boundary(channel, t)
+                    .map(|b| first_at_or_after(series, start + 1..series.len(), b));
+                state[i] = (dropped, boundary);
             }
             let (dropped, boundary) = state[i];
-            let end = boundary.map_or(run.end, |b| {
-                (start + 1..run.end)
-                    .find(|&k| series.time_of(k) >= b)
-                    .unwrap_or(run.end)
-            });
+            let end = boundary.map_or(run.end, |b| b.min(run.end));
             let stretch = start..end;
             start = end;
 
@@ -925,34 +1036,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn channel_merge_matches_the_serial_pick_across_rates() {
-        // 50 Hz and 100 Hz share every 20 ms timestamp; the 100 Hz series
-        // also runs alone in between and past the 50 Hz series' end.
-        let slow = TimeSeries::from_samples(50.0, vec![0.0; 50]).unwrap();
-        let fast = TimeSeries::from_samples(100.0, vec![0.0; 130]).unwrap();
-        let also_slow = TimeSeries::from_samples(50.0, vec![0.0; 40]).unwrap();
-        for series in [
-            vec![&slow, &fast],
-            vec![&fast, &slow],
-            vec![&slow, &fast, &also_slow],
-            vec![&also_slow, &fast, &slow],
-        ] {
-            let merged: Vec<(usize, usize)> = ChannelMerge::new(&series)
-                .flat_map(|(i, run)| run.map(move |idx| (i, idx)))
+    /// The merge property's rates: `RATES` for one shared rate, integer
+    /// multiples of one base rate, or any mix of them; `FAST_RATES` for
+    /// pairs above 1 MHz, where consecutive samples can share a µs stamp.
+    const RATES: [f64; 6] = [3.0, 50.0, 100.0, 8_000.0, 44_100.0, 1_000.0 / 3.0];
+    const FAST_RATES: [f64; 3] = [1.5e6, 2.5e6, 3e6];
+
+    fn arb_rates() -> impl proptest::Strategy<Value = Vec<f64>> {
+        use proptest::prelude::*;
+        let pick = |table: &'static [f64]| (0..table.len()).prop_map(move |k| table[k]);
+        prop_oneof![
+            (pick(&RATES), 1..=4usize).prop_map(|(rate, n)| vec![rate; n]),
+            (pick(&RATES), proptest::collection::vec(1..=4u32, 1..5))
+                .prop_map(|(rate, m)| m.into_iter().map(|m| rate * f64::from(m)).collect()),
+            proptest::collection::vec(pick(&RATES), 1..5),
+            proptest::collection::vec(pick(&FAST_RATES), 2),
+        ]
+    }
+
+    fn arb_series() -> impl proptest::Strategy<Value = Vec<TimeSeries>> {
+        use proptest::prelude::*;
+        arb_rates()
+            .prop_flat_map(|rates| {
+                let n = rates.len();
+                (Just(rates), proptest::collection::vec(0..=300usize, n))
+            })
+            .prop_map(|(rates, lens)| {
+                rates
+                    .into_iter()
+                    .zip(lens)
+                    .map(|(rate, n)| TimeSeries::from_samples(rate, vec![0.0; n]).unwrap())
+                    .collect()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Across empty and unequal-length series, equal, multiple and
+        /// mixed rates, the merge feeds exactly the serial pick's order,
+        /// in non-empty runs that each end where another series wins.
+        #[test]
+        fn channel_merge_matches_the_serial_pick_across_rates(owned in arb_series()) {
+            let series: Vec<&TimeSeries> = owned.iter().collect();
+            let runs: Vec<(usize, Range<usize>)> = ChannelMerge::new(&series).collect();
+            proptest::prop_assert!(runs.iter().all(|(_, run)| !run.is_empty()), "{runs:?}");
+            proptest::prop_assert!(runs.windows(2).all(|w| w[0].0 != w[1].0), "{runs:?}");
+            let merged: Vec<(usize, usize)> = runs
+                .into_iter()
+                .flat_map(|(i, run)| run.map(move |k| (i, k)))
                 .collect();
-            let reference = serial_pick(&series);
-            assert_eq!(merged, reference);
-            assert_eq!(merged.len(), series.iter().map(|s| s.len()).sum::<usize>());
-            // Coincident timestamps do occur, and the smaller position
-            // is fed first every time.
-            let ties = merged
-                .windows(2)
-                .filter(|w| series[w[0].0].time_of(w[0].1) == series[w[1].0].time_of(w[1].1))
-                .inspect(|w| assert!(w[0].0 < w[1].0, "{w:?}"))
-                .count();
-            assert!(ties > 0);
+            proptest::prop_assert_eq!(merged, serial_pick(&series));
         }
+    }
+
+    #[test]
+    fn a_lone_series_is_one_run() {
+        let mic = TimeSeries::from_samples(8_000.0, vec![0.0; 240_000]).unwrap();
+        let fast = TimeSeries::from_samples(3e6, vec![0.0; 1_000]).unwrap();
+        let empty = TimeSeries::empty(50.0).unwrap();
+        let runs = |series: &[&TimeSeries]| ChannelMerge::new(series).collect::<Vec<_>>();
+        assert_eq!(runs(&[&mic]), vec![(0, 0..240_000)]);
+        assert_eq!(runs(&[&fast]), vec![(0, 0..1_000)]);
+        assert_eq!(runs(&[&empty, &mic]), vec![(1, 0..240_000)]);
+        assert_eq!(runs(&[&empty]), vec![]);
+        assert_eq!(runs(&[]), vec![]);
+    }
+
+    #[test]
+    fn equal_rate_series_take_turns_in_position_order() {
+        // Every index is a tie between the series that still have it,
+        // and the smaller position goes first; the longest series runs
+        // alone once the others are used up.
+        let x = TimeSeries::from_samples(50.0, vec![0.0; 3]).unwrap();
+        let y = TimeSeries::from_samples(50.0, vec![0.0; 6]).unwrap();
+        let z = TimeSeries::from_samples(50.0, vec![0.0; 4]).unwrap();
+        let series = [&x, &y, &z];
+        assert!(index_ordered(&series));
+        let runs: Vec<(usize, Range<usize>)> = ChannelMerge::new(&series).collect();
+        let mut expected: Vec<(usize, Range<usize>)> = Vec::new();
+        for k in 0..3 {
+            expected.extend([(0, k..k + 1), (1, k..k + 1), (2, k..k + 1)]);
+        }
+        expected.extend([(1, 3..4), (2, 3..4), (1, 4..6)]);
+        assert_eq!(runs, expected);
+    }
+
+    #[test]
+    fn series_whose_samples_share_a_stamp_take_the_clocked_path() {
+        let a = TimeSeries::from_samples(1.5e6, vec![0.0; 64]).unwrap();
+        let b = a.clone();
+        assert!((0..63).any(|k| a.time_of(k) == a.time_of(k + 1)));
+        let series = [&a, &b];
+        assert!(!index_ordered(&series));
+        // Index order would feed b's sample 1 before a's sample 2; both
+        // are stamped 1 µs, so the serial pick feeds a's first.
+        let merged: Vec<(usize, usize)> = ChannelMerge::new(&series)
+            .flat_map(|(i, run)| run.map(move |k| (i, k)))
+            .collect();
+        assert_eq!(merged, serial_pick(&series));
+        let pos = |s: (usize, usize)| merged.iter().position(|&m| m == s).unwrap();
+        assert!(pos((0, 2)) < pos((1, 1)));
+
+        // The shortcut's bound: 2 µs spacing or more, one shared rate.
+        let at = |rate: f64| TimeSeries::from_samples(rate, vec![0.0; 8]).unwrap();
+        assert!(index_ordered(&[&at(500_000.0), &at(500_000.0)]));
+        assert!(!index_ordered(&[&at(500_001.0), &at(500_001.0)]));
+        assert!(!index_ordered(&[&at(44_100.0), &at(8_000.0)]));
+        assert!(!index_ordered(&[]));
     }
 
     #[test]
