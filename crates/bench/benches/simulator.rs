@@ -1,7 +1,7 @@
 //! End-to-end simulator throughput: wall time to replay one robot trace
-//! under each sensing configuration, and the hub-wake replay on the two
-//! channel-merge shapes the paper's conditions produce — one lone
-//! channel, and two channels at one rate.
+//! under each sensing configuration, and the hub-wake replay on each
+//! channel-merge shape: one lone channel, two channels at one rate, and
+//! channels at mixed rates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sidewinder_apps::{predefined, HeadbuttsApp, MusicJournalApp, StepsApp};
@@ -118,6 +118,27 @@ fn bench_hub_wake_merges(c: &mut Criterion) {
     let steps = StepsApp::new();
     let fused = fuse_programs(&[steps.wake_condition(), HeadbuttsApp::new().wake_condition()]);
     bench_hub_wake(&mut group, "acc_xy_50hz_120s", &robot, &steps, fused);
+
+    // MIC at 8 kHz beside ACC at 50 Hz, as in a fused steps + music
+    // suite: 160-sample MIC runs between single accelerometer samples.
+    let mut combined = robot_run(&RobotRunConfig {
+        duration: Micros::from_secs(30),
+        idle_fraction: 0.5,
+        rate_hz: 50.0,
+        seed: 1,
+    });
+    for channel in audio.channels().collect::<Vec<_>>() {
+        let series = audio.channel(channel).expect("listed channel").clone();
+        combined.insert(channel, series);
+    }
+    let fused = fuse_programs(&[steps.wake_condition(), music.wake_condition()]);
+    bench_hub_wake(
+        &mut group,
+        "mic_8khz_acc_50hz_30s",
+        &combined,
+        &steps,
+        fused,
+    );
     group.finish();
 }
 

@@ -440,7 +440,7 @@ pub(crate) fn channel_series<'t>(
 /// known. A series with no other series left is one run to its end. When
 /// [`index_ordered`] holds, the cursors alone decide the pick. Otherwise a
 /// run ends at the first sample whose time loses the pick, found by
-/// galloping from the run start and then bisecting.
+/// [`first_at_or_after`].
 pub(crate) struct ChannelMerge<'s, 't> {
     series: &'s [&'t TimeSeries],
     cursors: Vec<usize>,
@@ -512,43 +512,23 @@ impl<'s, 't> ChannelMerge<'s, 't> {
         // The other series' next-sample times are fixed while this one
         // runs, so the run extends as long as it keeps winning the serial
         // pick: strictly earlier than series at a smaller position, no
-        // later than series at a larger one.
+        // later than series at a larger one. So it ends at the first
+        // sample at or past `before` or `after` + 1 µs, whichever is
+        // sooner; with no other series left, the rest is one run.
         let before = self.heads[..i].iter().flatten().min().copied();
         let after = self.heads[i + 1..].iter().flatten().min().copied();
-        let wins = |t: Micros| before.is_none_or(|m| t < m) && after.is_none_or(|m| t <= m);
+        let limit = before
+            .into_iter()
+            .chain(after.map(|m| m + Micros::from_micros(1)))
+            .min();
         let series = self.series[i];
         let start = self.cursors[i];
-        // `won` is the last sample known to win the pick; `lost` is the
-        // first known to lose it (its time in `lost_at`), or the series
-        // end. With no other series left, the rest is one run.
-        let (mut won, mut lost, mut lost_at) = (start, series.len(), None);
-        if before.is_some() || after.is_some() {
-            // `time_of` never decreases along a series, so the winners are
-            // a prefix. Gallop from the start, so that a one-sample run
-            // costs one timestamp, then bisect the last gap.
-            let mut step = 1;
-            while start + step < lost {
-                let t = series.time_of(start + step);
-                if !wins(t) {
-                    (lost, lost_at) = (start + step, Some(t));
-                    break;
-                }
-                won = start + step;
-                step *= 2;
-            }
-            while lost - won > 1 {
-                let mid = won + (lost - won) / 2;
-                let t = series.time_of(mid);
-                if wins(t) {
-                    won = mid;
-                } else {
-                    (lost, lost_at) = (mid, Some(t));
-                }
-            }
-        }
-        self.heads[i] = lost_at;
-        self.cursors[i] = lost;
-        Some((i, start..lost))
+        let end = limit.map_or(series.len(), |t| {
+            first_at_or_after(series, start + 1..series.len(), t)
+        });
+        self.heads[i] = (end < series.len()).then(|| series.time_of(end));
+        self.cursors[i] = end;
+        Some((i, start..end))
     }
 }
 
@@ -587,9 +567,21 @@ impl Iterator for ChannelMerge<'_, '_> {
 }
 
 /// The first index in `range` whose sample lies at or past `t`, or
-/// `range.end`. Stamps never decrease along a series, so it bisects.
+/// `range.end`. Stamps never decrease along a series, so it gallops from
+/// `range.start` — an answer `k` samples in costs about `2 log2 k` stamps,
+/// and one at `range.start` costs one — then bisects the last step.
 fn first_at_or_after(series: &TimeSeries, range: Range<usize>, t: Micros) -> usize {
     let (mut lo, mut hi) = (range.start, range.end);
+    let mut step = 1;
+    while lo < hi {
+        let probe = (lo + step - 1).min(hi - 1);
+        if series.time_of(probe) >= t {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if series.time_of(mid) >= t {
