@@ -4,17 +4,18 @@
 //! [`McuImage`] instead of walking the IR: parsing, validation, and this
 //! compilation step stay on the host (the paper's phone-side runtime),
 //! and only the fixed-capacity image crosses the serial link to the hub
-//! (DESIGN.md §6j). [`compile_image`] mirrors the host loader's
-//! traversal exactly — the same rate propagation, the same dense
-//! define-before-use indexing, the same single-channel direct-feed
-//! classification — so a [`McuCore`](sidewinder_mcu::McuCore) running
-//! the image is bit-identical to a [`HubRuntime`] running the program
-//! (pinned by `tests/mcu_equivalence.rs` on every golden fixture).
+//! (DESIGN.md §6j). [`compile_image`] walks the program with the host
+//! loader's own traversal (`runtime::resolve_program`: rate
+//! propagation, dense define-before-use indexing, the malformed-program
+//! errors) and only maps each resolved node into the image, so a
+//! [`McuCore`](sidewinder_mcu::McuCore) running the image is
+//! bit-identical to a [`HubRuntime`](crate::runtime::HubRuntime)
+//! running the program (pinned by `tests/mcu_equivalence.rs` on every
+//! golden fixture).
 
-use crate::runtime::{ChannelRates, HubError, LoadError};
-use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, StatFn, WindowShapeParam};
+use crate::runtime::{resolve_program, ChannelRates, HubError, PortSource as DenseSource};
+use sidewinder_ir::{AlgorithmKind, Program, StatFn, WindowShapeParam};
 use sidewinder_mcu::{ImageBuilder, McuImage, NodeKind, PortSource, StatKind, WindowShape};
-use std::collections::BTreeMap;
 
 /// Compiles a program into the fixed-capacity image the MCU core
 /// executes.
@@ -38,49 +39,22 @@ pub(crate) fn compile_validated(
     program: &Program,
     rates: &ChannelRates,
 ) -> Result<McuImage, HubError> {
-    let mut node_rates: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut index_of: BTreeMap<NodeId, u16> = BTreeMap::new();
     let mut builder = ImageBuilder::new();
-    for (sources, id, kind) in program.nodes() {
-        let Some(first) = sources.first() else {
-            return Err(HubError::Invalid(sidewinder_ir::ValidateError::BadArity {
-                id,
-                algorithm: kind.ir_name(),
-                got: 0,
-            }));
-        };
-        // Rate propagation: a node inherits the rate of its first source,
-        // exactly as the host loader propagates it.
-        let rate = match first {
-            Source::Channel(c) => rates.rate_of(*c),
-            Source::Node(src) => *node_rates.get(src).ok_or(LoadError::UnknownSource {
-                at: id,
-                source: *src,
-            })?,
-        };
-        node_rates.insert(id, rate);
-        let dense: Vec<PortSource> = sources
+    let out = resolve_program(program, rates, |node| {
+        let ports: Vec<PortSource> = node
+            .sources
             .iter()
-            .map(|s| match s {
-                Source::Channel(c) => Ok(PortSource::Channel(c.index() as u8)),
-                Source::Node(src) => index_of.get(src).map(|&i| PortSource::Node(i)).ok_or(
-                    LoadError::UnknownSource {
-                        at: id,
-                        source: *src,
-                    },
-                ),
+            .map(|s| match *s {
+                DenseSource::Channel(c) => PortSource::Channel(c.index() as u8),
+                // Producers precede the node, and the builder holds at
+                // most `MAX_NODES` of them, so the index fits.
+                DenseSource::Node(i) => PortSource::Node(i as u16),
             })
-            .collect::<Result<_, _>>()?;
-        let index = builder.push_node(node_kind(kind), &dense, rate)?;
-        index_of.insert(id, index);
-    }
-    let out_id = program
-        .out_source()
-        .ok_or(HubError::Invalid(sidewinder_ir::ValidateError::MissingOut))?;
-    let out_index = *index_of
-        .get(&out_id)
-        .ok_or(LoadError::UnknownOut { source: out_id })?;
-    Ok(builder.finish(out_index)?)
+            .collect();
+        builder.push_node(node_kind(node.kind), &ports, node.rate)?;
+        Ok(())
+    })?;
+    Ok(builder.finish(out as u16)?)
 }
 
 /// IR algorithm → image node kind. The two enums are deliberately
@@ -213,21 +187,5 @@ mod tests {
         let err = compile_image(&program, &ChannelRates::default()).unwrap_err();
         assert!(matches!(err, HubError::Image(_)), "got {err:?}");
         assert!(err.to_string().contains("image nodes"));
-    }
-
-    #[test]
-    fn unvalidated_holes_surface_typed_load_errors() {
-        let mut program = Program::new();
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(1),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        program.push_out(NodeId(9));
-        let err = compile_validated(&program, &ChannelRates::default()).unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownOut { source: NodeId(9) })
-        );
     }
 }

@@ -16,7 +16,7 @@
 use crate::instance::{AlgoInstance, ExecError};
 use crate::value::ValueRef;
 use sidewinder_dsp::Sample;
-use sidewinder_ir::{NodeId, Program, Source, ValidateError};
+use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, ValidateError};
 use sidewinder_obs::{Event, EventSink, NullSink};
 use sidewinder_sensors::SensorChannel;
 use std::collections::BTreeMap;
@@ -182,9 +182,84 @@ impl From<ExecError> for HubError {
 /// An input edge resolved to the dense node index space: either a sensor
 /// channel or the position of the producing node in statement order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PortSource {
+pub(crate) enum PortSource {
     Channel(SensorChannel),
     Node(usize),
+}
+
+/// One statement of a program, resolved by [`resolve_program`].
+pub(crate) struct ResolvedNode<'p> {
+    pub(crate) id: NodeId,
+    pub(crate) kind: &'p AlgorithmKind,
+    /// Sample rate inherited from the first source.
+    pub(crate) rate: f64,
+    /// Input edges in the dense index space, one per port.
+    pub(crate) sources: Vec<PortSource>,
+}
+
+/// The traversal behind both loaders, [`HubRuntime::load_generic`] and
+/// [`compile_image`](crate::mcu_image::compile_image): walks `program`
+/// in statement order, gives each node the rate of its first source,
+/// resolves every edge to the producer's dense define-before-use index,
+/// and hands the node to `visit`. Returns the dense index of the node
+/// feeding `OUT`.
+///
+/// Validation makes the errors below unreachable, but a program that
+/// bypasses it must surface a typed error, not panic.
+///
+/// # Errors
+///
+/// [`ValidateError::BadArity`] for a node without sources,
+/// [`LoadError::UnknownSource`] for an edge to a node not yet defined,
+/// [`ValidateError::MissingOut`] and [`LoadError::UnknownOut`] for a
+/// missing or dangling `OUT`, and whatever `visit` returns, each at the
+/// first statement that raises it.
+pub(crate) fn resolve_program<'p>(
+    program: &'p Program,
+    rates: &ChannelRates,
+    mut visit: impl FnMut(ResolvedNode<'p>) -> Result<(), HubError>,
+) -> Result<usize, HubError> {
+    let mut index_of: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut node_rates: Vec<f64> = Vec::new();
+    for (sources, id, kind) in program.nodes() {
+        let dense: Vec<PortSource> = sources
+            .iter()
+            .map(|s| match s {
+                Source::Channel(c) => Ok(PortSource::Channel(*c)),
+                Source::Node(src) => index_of.get(src).map(|&i| PortSource::Node(i)).ok_or(
+                    LoadError::UnknownSource {
+                        at: id,
+                        source: *src,
+                    },
+                ),
+            })
+            .collect::<Result<_, _>>()?;
+        let rate = match dense.first() {
+            None => {
+                return Err(HubError::Invalid(ValidateError::BadArity {
+                    id,
+                    algorithm: kind.ir_name(),
+                    got: 0,
+                }))
+            }
+            Some(PortSource::Channel(c)) => rates.rate_of(*c),
+            Some(PortSource::Node(i)) => node_rates[*i],
+        };
+        index_of.insert(id, node_rates.len());
+        node_rates.push(rate);
+        visit(ResolvedNode {
+            id,
+            kind,
+            rate,
+            sources: dense,
+        })?;
+    }
+    let out_id = program
+        .out_source()
+        .ok_or(HubError::Invalid(ValidateError::MissingOut))?;
+    Ok(*index_of
+        .get(&out_id)
+        .ok_or(LoadError::UnknownOut { source: out_id })?)
 }
 
 /// One loaded node: its instance, its resolved input edges, and the dense
@@ -348,46 +423,11 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         rates: &ChannelRates,
         sink: S,
     ) -> Result<Self, HubError> {
-        // Propagate sample rates: a node inherits the rate of its first
-        // source (aggregators merge branches of equal rate in practice).
-        let mut node_rates: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut index_of: BTreeMap<NodeId, usize> = BTreeMap::new();
         let mut nodes: Vec<LoadedNode<P>> = Vec::new();
         let mut channel_entries: [Vec<usize>; SensorChannel::COUNT] = Default::default();
-        for (sources, id, kind) in program.nodes() {
-            // Validation guarantees at least one source, but a program
-            // that bypasses it (e.g. assembled from a corrupted
-            // re-download) must surface a typed error, not panic.
-            let Some(first) = sources.first() else {
-                return Err(HubError::Invalid(ValidateError::BadArity {
-                    id,
-                    algorithm: kind.ir_name(),
-                    got: 0,
-                }));
-            };
-            let rate = match first {
-                Source::Channel(c) => rates.rate_of(*c),
-                Source::Node(src) => *node_rates.get(src).ok_or(LoadError::UnknownSource {
-                    at: id,
-                    source: *src,
-                })?,
-            };
-            node_rates.insert(id, rate);
+        let out_index = resolve_program(program, rates, |node| {
             let index = nodes.len();
-            let dense: Vec<PortSource> = sources
-                .iter()
-                .map(|s| match s {
-                    Source::Channel(c) => Ok(PortSource::Channel(*c)),
-                    // Define-before-use: the producer is already indexed.
-                    Source::Node(src) => index_of.get(src).map(|&i| PortSource::Node(i)).ok_or(
-                        LoadError::UnknownSource {
-                            at: id,
-                            source: *src,
-                        },
-                    ),
-                })
-                .collect::<Result<_, _>>()?;
-            for source in &dense {
+            for source in &node.sources {
                 match *source {
                     PortSource::Channel(c) => {
                         let entries = &mut channel_entries[c.index()];
@@ -398,14 +438,14 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
                     PortSource::Node(src) => nodes[src].consumers.push(index),
                 }
             }
-            index_of.insert(id, index);
             nodes.push(LoadedNode {
-                instance: AlgoInstance::new(id, kind, sources.len(), rate)?,
-                sources: dense,
+                instance: AlgoInstance::new(node.id, node.kind, node.sources.len(), node.rate)?,
+                sources: node.sources,
                 consumers: Vec::new(),
                 consumer_mask: 0,
             });
-        }
+            Ok(())
+        })?;
         let count = nodes.len();
         if count <= MASK_BITS {
             for node in &mut nodes {
@@ -429,12 +469,6 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
                 }
             }
         }
-        let out_id = program
-            .out_source()
-            .ok_or(HubError::Invalid(ValidateError::MissingOut))?;
-        let out_index = *index_of
-            .get(&out_id)
-            .ok_or(LoadError::UnknownOut { source: out_id })?;
         Ok(HubRuntime {
             nodes,
             out_index,
@@ -773,87 +807,80 @@ mod tests {
         assert!(err.to_string().contains("OUT"));
     }
 
-    // The next three tests feed the loader programs that bypass
-    // validation (assembled with `Program::push_node` directly). Each
-    // used to panic on a `BTreeMap` index; now each must produce the
-    // matching typed `LoadError`.
-
     #[test]
-    fn unvalidated_forward_rate_reference_is_a_typed_error() {
+    fn unvalidated_holes_are_the_same_typed_error_in_both_loaders() {
+        // Programs assembled with `Program::push_node`, bypassing
+        // validation: both loaders must report the same typed error,
+        // never panic.
+        use crate::mcu_image::compile_validated;
         use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
+        let acc_x = || vec![Source::Channel(SensorChannel::AccX)];
+        let avg = AlgorithmKind::MovingAvg { window: 4 };
+        let mut cases: Vec<(&str, Program, HubError)> = Vec::new();
+
         // Node 1's rate comes from node 2, which is defined later.
-        program.push_node(
+        let mut p = Program::new();
+        p.push_node(
             vec![Source::Node(NodeId(2))],
             NodeId(1),
             AlgorithmKind::AnyOf,
         );
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(2),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        program.push_out(NodeId(1));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownSource {
-                at: NodeId(1),
-                source: NodeId(2),
-            })
-        );
-        assert!(err.to_string().contains("not defined before use"));
-    }
+        p.push_node(acc_x(), NodeId(2), avg);
+        p.push_out(NodeId(1));
+        let unknown = LoadError::UnknownSource {
+            at: NodeId(1),
+            source: NodeId(2),
+        };
+        cases.push(("forward rate reference", p, HubError::Load(unknown)));
 
-    #[test]
-    fn unvalidated_undefined_port_source_is_a_typed_error() {
-        use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(1),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        // A join whose *second* port (not the rate-defining first) is
-        // undefined exercises the dense-source lookup.
-        program.push_node(
+        // A join whose second port (not the rate-defining first) is
+        // undefined.
+        let mut p = Program::new();
+        p.push_node(acc_x(), NodeId(1), avg);
+        p.push_node(
             vec![Source::Node(NodeId(1)), Source::Node(NodeId(9))],
             NodeId(2),
             AlgorithmKind::AllOf,
         );
-        program.push_out(NodeId(2));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownSource {
-                at: NodeId(2),
-                source: NodeId(9),
-            })
-        );
-    }
+        p.push_out(NodeId(2));
+        let unknown = LoadError::UnknownSource {
+            at: NodeId(2),
+            source: NodeId(9),
+        };
+        cases.push(("undefined second-port source", p, HubError::Load(unknown)));
 
-    #[test]
-    fn unvalidated_undefined_out_is_a_typed_error() {
-        use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(1),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        program.push_out(NodeId(7));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownOut { source: NodeId(7) })
-        );
-        assert!(err.to_string().contains("undefined node 7"));
+        let mut p = Program::new();
+        p.push_node(acc_x(), NodeId(1), avg);
+        p.push_out(NodeId(7));
+        let unknown = LoadError::UnknownOut { source: NodeId(7) };
+        cases.push(("undefined OUT", p, HubError::Load(unknown)));
+
+        let mut p = Program::new();
+        p.push_node(Vec::new(), NodeId(1), AlgorithmKind::AnyOf);
+        p.push_out(NodeId(1));
+        let arity = ValidateError::BadArity {
+            id: NodeId(1),
+            algorithm: "anyOf",
+            got: 0,
+        };
+        cases.push(("node with no sources", p, HubError::Invalid(arity)));
+
+        let mut p = Program::new();
+        p.push_node(acc_x(), NodeId(1), avg);
+        cases.push((
+            "missing OUT",
+            p,
+            HubError::Invalid(ValidateError::MissingOut),
+        ));
+
+        for (name, program, expected) in cases {
+            let rates = ChannelRates::default();
+            let host =
+                HubRuntime::<_, f64>::load_validated(&program, &rates, NullSink).unwrap_err();
+            let image = compile_validated(&program, &rates).unwrap_err();
+            assert_eq!(host, expected, "{name}: host loader");
+            assert_eq!(image, expected, "{name}: image compiler");
+        }
     }
 
     #[test]

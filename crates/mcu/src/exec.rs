@@ -11,14 +11,16 @@
 //! `hub/tests/mcu_equivalence.rs` pins fixture by fixture.
 //!
 //! Capacity model: one `CAP`-element arena per element type, shared by
-//! all nodes through bump allocation at `load`. Programs that do not
-//! fit report a typed [`CapacityError`] instead of failing at runtime;
-//! after a successful `load`, steady-state execution touches no
-//! allocator and no `std`.
+//! all nodes in the order the footprint walk places them at `load`.
+//! Programs that do not fit report a typed
+//! [`McuExecError::ArenaOverflow`] instead of failing at runtime; after
+//! a successful `load`, steady-state execution touches no allocator and
+//! no `std`.
 
 use crate::complex::Complex;
 use crate::fft;
 use crate::filter::{self, BandShape};
+use crate::footprint::{self, Span};
 use crate::goertzel;
 use crate::image::{
     CapacityError, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS, MAX_NODES,
@@ -230,30 +232,6 @@ impl core::error::Error for McuExecError {}
 impl From<CapacityError> for McuExecError {
     fn from(e: CapacityError) -> Self {
         McuExecError::Capacity(e)
-    }
-}
-
-/// A `[start, start + cap)` slice of one arena, assigned at load time.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: u32,
-    cap: u32,
-}
-
-impl Span {
-    const EMPTY: Span = Span { start: 0, cap: 0 };
-
-    fn range(self, len: usize) -> Range<usize> {
-        let start = self.start as usize;
-        start..start + len
-    }
-
-    fn full(self) -> Range<usize> {
-        self.range(self.cap as usize)
-    }
-
-    fn cap(self) -> usize {
-        self.cap as usize
     }
 }
 
@@ -476,9 +454,6 @@ pub struct McuCore<P: Sample = f64, const CAP: usize = DEFAULT_ARENA> {
     slots: [Slot; MAX_NODES],
     channel_seq: [u64; MAX_CHANNELS],
     wake_count: u64,
-    /// Elements `load` carved from each bump arena (sample, scalar,
-    /// complex, swap, mask) — pinned against the static footprint.
-    arena_used: [u32; 5],
     /// Sample-typed arena: window rings, taper tables, vector payloads.
     arena_p: [P; CAP],
     /// f64 arena: moving-average rings, probe tables, widening scratch.
@@ -512,7 +487,6 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
             slots: [Slot::EMPTY; MAX_NODES],
             channel_seq: [0; MAX_CHANNELS],
             wake_count: 0,
-            arena_used: [0; 5],
             arena_p: [P::ZERO; CAP],
             arena_f: [0.0; CAP],
             arena_c: [Complex::ZERO; CAP],
@@ -538,165 +512,48 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         &self.image
     }
 
-    /// Elements the last successful `load` carved from each bump arena,
-    /// in [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order
-    /// (sample, scalar, complex, swap, mask). The soundness harness
-    /// pins these against [`image_footprint`](crate::image_footprint).
-    pub fn arena_used(&self) -> [usize; 5] {
-        [
-            self.arena_used[0] as usize,
-            self.arena_used[1] as usize,
-            self.arena_used[2] as usize,
-            self.arena_used[3] as usize,
-            self.arena_used[4] as usize,
-        ]
-    }
-
     /// Loads an image: validates node parameters and carves every
     /// buffer the program needs out of the arenas.
     ///
-    /// Buffer sizes come from a forward pass over the dense node list
-    /// (producers precede consumers, so each node's payload length is
-    /// known from its first source). Parameter validation mirrors the
-    /// host loader's checks and messages.
+    /// The spans come from the footprint walk the certifier also runs
+    /// ([`check_fit`](crate::footprint::check_fit)), so what `load`
+    /// carves is the certified footprint. Parameter validation mirrors
+    /// the host loader's checks and messages.
     ///
     /// # Errors
     ///
     /// [`McuExecError::BadParameter`] on invalid node parameters,
-    /// [`McuExecError::ArenaOverflow`] when the program's certified
-    /// footprint exceeds `CAP` — raised by a pre-flight
-    /// [`check_fit`](crate::footprint::check_fit) pass, naming the
-    /// arena and the offending node, before any arena is touched.
+    /// [`McuExecError::ArenaOverflow`] when the program's footprint
+    /// exceeds `CAP`, naming the arena and the offending node. Either
+    /// way no arena is touched and the core stays unloaded.
     pub fn load(&mut self, image: &McuImage) -> Result<(), McuExecError> {
         self.loaded = false;
         self.states = [NodeState::EMPTY; MAX_NODES];
         self.slots = [Slot::EMPTY; MAX_NODES];
         self.channel_seq = [0; MAX_CHANNELS];
         self.wake_count = 0;
-        self.arena_used = [0; 5];
 
-        // Admission first: the static footprint is exact (pinned
-        // against the carve below by the equivalence tests), so a
-        // rejected image leaves the core exactly as unloaded as a
-        // never-loaded one, and the carve below cannot fail.
-        crate::footprint::check_fit(image, CAP)?;
-
-        let mut used_p = 0usize;
-        let mut used_f = 0usize;
-        let mut used_c = 0usize;
-        let mut used_s = 0usize;
-        let mut used_b = 0usize;
-        // Payload length each node emits (0 for scalar producers).
-        let mut lens = [0usize; MAX_NODES];
-
-        for (i, spec) in image.nodes().iter().enumerate() {
-            let node = i as u16;
-            let in_len = match spec.sources[0] {
-                PortSource::Channel(_) => 0,
-                PortSource::Node(src) => lens[src as usize],
+        let McuCore { states, slots, .. } = self;
+        footprint::carve(image, CAP, |i, c| {
+            states[i] = NodeState {
+                aux_p: c.aux_p,
+                coeffs: c.coeffs,
+                aux_f: c.aux_f,
+                swaps: c.swaps,
+                fwd: c.fwd,
+                inv: c.inv,
+                mask: c.mask,
+                wide_in: c.wide_in,
+                ..NodeState::EMPTY
             };
-            let mut st = NodeState::EMPTY;
-            let mut slot = Slot::EMPTY;
-            match spec.kind {
-                NodeKind::Window { size, hop, shape } => {
-                    let (size, hop) = (size as usize, hop as usize);
-                    if size == 0 || hop == 0 || hop > size {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "window size and hop must be positive",
-                        });
-                    }
-                    st.aux_p = bump(&mut used_p, CAP, size, "sample arena")?;
-                    st.coeffs = bump(&mut used_p, CAP, size, "sample arena")?;
-                    shape.fill_coefficients(&mut self.arena_p[st.coeffs.full()]);
-                    slot.vec = bump(&mut used_p, CAP, size, "sample arena")?;
-                    lens[i] = size;
-                }
-                NodeKind::Fft => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.wide_in = bump(&mut used_f, CAP, in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::Ifft => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.inv = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, CAP, in_len, "sample arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::SpectralMagnitude => {
-                    let m = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    slot.vec = bump(&mut used_p, CAP, m, "sample arena")?;
-                    lens[i] = m;
-                }
-                NodeKind::MovingAvg { window } => {
-                    if window == 0 {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "moving-average window must be positive",
-                        });
-                    }
-                    st.aux_f = bump(&mut used_f, CAP, window as usize, "scalar arena")?;
-                }
-                NodeKind::ExpMovingAvg { alpha } => {
-                    if !(alpha > 0.0 && alpha <= 1.0) {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "smoothing factor must be in (0, 1]",
-                        });
-                    }
-                }
-                NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.inv = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.mask = bump(&mut used_b, CAP, in_len, "mask arena")?;
-                    st.wide_in = bump(&mut used_f, CAP, in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, CAP, in_len, "sample arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::ZcrVariance { sub_windows } => {
-                    st.aux_p = bump(&mut used_p, CAP, sub_windows as usize, "sample arena")?;
-                }
-                NodeKind::Goertzel { lo_hz, hi_hz }
-                | NodeKind::GoertzelFreq { lo_hz, hi_hz }
-                | NodeKind::GoertzelRatio { lo_hz, hi_hz } => {
-                    if !(lo_hz.is_finite() && hi_hz.is_finite() && 0.0 <= lo_hz && lo_hz <= hi_hz) {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "goertzel band must be finite with 0 <= lo <= hi",
-                        });
-                    }
-                    let probes = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    st.aux_f = bump(&mut used_f, CAP, probes, "scalar arena")?;
-                }
-                NodeKind::VectorMagnitude
-                | NodeKind::Zcr
-                | NodeKind::Stat(_)
-                | NodeKind::DominantRatio
-                | NodeKind::DominantFreq
-                | NodeKind::MinThreshold { .. }
-                | NodeKind::MaxThreshold { .. }
-                | NodeKind::BandThreshold { .. }
-                | NodeKind::OutsideThreshold { .. }
-                | NodeKind::Sustained { .. }
-                | NodeKind::AllOf
-                | NodeKind::AnyOf => {}
+            slots[i].vec = c.vec;
+            slots[i].spec = c.spec;
+        })?;
+        for (st, spec) in self.states.iter().zip(image.nodes()) {
+            if let NodeKind::Window { shape, .. } = spec.kind {
+                shape.fill_coefficients(&mut self.arena_p[st.coeffs.full()]);
             }
-            self.states[i] = st;
-            self.slots[i] = slot;
         }
-
-        self.arena_used = [
-            used_p as u32,
-            used_f as u32,
-            used_c as u32,
-            used_s as u32,
-            used_b as u32,
-        ];
         self.image = *image;
         self.loaded = true;
         Ok(())
@@ -938,48 +795,6 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
     }
 }
 
-/// Bump-allocates `need` elements from an arena of `total` capacity.
-fn bump(
-    used: &mut usize,
-    total: usize,
-    need: usize,
-    what: &'static str,
-) -> Result<Span, McuExecError> {
-    if *used + need > total {
-        return Err(McuExecError::Capacity(CapacityError {
-            what,
-            needed: *used + need,
-            capacity: total,
-        }));
-    }
-    let span = Span {
-        start: *used as u32,
-        cap: need as u32,
-    };
-    *used += need;
-    Ok(span)
-}
-
-/// Swap-table capacity to reserve for a predicted transform length.
-/// Non-power-of-two predictions reserve nothing: the plan will fail
-/// with `BadTransformLength` before the table is needed.
-pub(crate) fn plan_swap_cap(n: usize) -> usize {
-    if fft::is_power_of_two(n) {
-        fft::swap_count(n)
-    } else {
-        0
-    }
-}
-
-/// Twiddle-table capacity to reserve for a predicted transform length.
-pub(crate) fn plan_twiddle_cap(n: usize) -> usize {
-    if fft::is_power_of_two(n) {
-        fft::twiddle_count(n)
-    } else {
-        0
-    }
-}
-
 /// Two disjoint mutable subslices of one slice, in either order.
 fn two_ranges<T>(s: &mut [T], a: Range<usize>, b: Range<usize>) -> (&mut [T], &mut [T]) {
     if a.end <= b.start {
@@ -995,8 +810,8 @@ fn two_ranges<T>(s: &mut [T], a: Range<usize>, b: Range<usize>) -> (&mut [T], &m
 }
 
 /// Three disjoint mutable subslices; `c` must lie after `a` and `b`
-/// (the bump allocator hands out ascending spans, so per-node span
-/// triples always satisfy this).
+/// (the footprint walk places each arena's spans in ascending order,
+/// so per-node span triples always satisfy this).
 fn tri_ranges<T>(
     s: &mut [T],
     a: Range<usize>,
@@ -1548,6 +1363,7 @@ fn exec_kind<P: Sample>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::image_footprint;
     use crate::image::ImageBuilder;
     use std::string::ToString;
     use std::vec::Vec;
@@ -2075,46 +1891,61 @@ mod tests {
         ));
         reused.load(&fitting).unwrap();
         assert_eq!(collect_wakes(&mut reused, 0, &samples), expected);
-        assert_eq!(reused.arena_used(), [0, 4, 0, 0, 0]);
+        assert_eq!(
+            image_footprint(reused.image()).unwrap(),
+            image_footprint(&fitting).unwrap()
+        );
     }
 
     #[test]
-    fn arena_used_matches_the_static_footprint() {
-        use crate::footprint::{image_footprint, ArenaKind};
+    fn window_sizes_past_the_address_space_overflow_instead_of_wrapping() {
+        // 3 x u32::MAX wraps a 32-bit usize; the walk must saturate so
+        // the sum reads as an overflow, never as a small total that fits.
         let mut b = ImageBuilder::new();
         let win = b
             .push_node(
                 NodeKind::Window {
-                    size: 16,
-                    hop: 16,
-                    shape: WindowShape::Hamming,
+                    size: u32::MAX,
+                    hop: u32::MAX,
+                    shape: WindowShape::Rectangular,
                 },
                 &[PortSource::Channel(0)],
-                64.0,
+                50.0,
             )
             .unwrap();
-        let fft = b
-            .push_node(NodeKind::Fft, &[PortSource::Node(win)], 64.0)
+        let stat = b
+            .push_node(
+                NodeKind::Stat(StatKind::Mean),
+                &[PortSource::Node(win)],
+                50.0,
+            )
             .unwrap();
-        let mag = b
-            .push_node(NodeKind::SpectralMagnitude, &[PortSource::Node(fft)], 64.0)
+        let huge = b.finish(stat).unwrap();
+        let mut core: McuCore<f64, 16> = McuCore::new();
+        assert_eq!(
+            core.load(&huge).unwrap_err(),
+            McuExecError::ArenaOverflow {
+                arena: "sample arena",
+                node: 0,
+                needed: usize::try_from(3 * u64::from(u32::MAX)).unwrap_or(usize::MAX),
+                capacity: 16,
+            }
+        );
+        assert!(!core.is_loaded());
+
+        let mut b = ImageBuilder::new();
+        let avg = b
+            .push_node(
+                NodeKind::MovingAvg { window: 2 },
+                &[PortSource::Channel(0)],
+                50.0,
+            )
             .unwrap();
-        let dom = b
-            .push_node(NodeKind::DominantRatio, &[PortSource::Node(mag)], 64.0)
-            .unwrap();
-        let image = b.finish(dom).unwrap();
-        let fp = image_footprint(&image).unwrap();
-        let mut core: McuCore<f64, 128> = McuCore::new();
-        core.load(&image).unwrap();
-        let used = core.arena_used();
-        for (k, kind) in ArenaKind::ALL[..5].iter().enumerate() {
-            assert_eq!(
-                used[k],
-                fp.arena(*kind).elements,
-                "{} diverged from the footprint",
-                kind.name()
-            );
-        }
+        core.load(&b.finish(avg).unwrap()).unwrap();
+        assert_eq!(
+            collect_wakes(&mut core, 0, &[1.0, 3.0]),
+            [WakeEvent { seq: 1, value: 2.0 }]
+        );
     }
 
     #[test]

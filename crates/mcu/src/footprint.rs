@@ -1,24 +1,23 @@
-//! Static arena accounting for [`McuImage`]s — the `no_std` half of the
-//! `swcert` resource certifier.
+//! Arena layout for [`McuImage`]s: the one walk that decides where a
+//! program's buffers live, and the `no_std` half of the `swcert`
+//! resource certifier.
 //!
-//! [`image_footprint`] replays the exact bump-allocation walk
-//! [`McuCore::load`](crate::McuCore::load) performs — same node order,
-//! same per-kind element counts, same parameter validation — without
-//! touching any arena, so a program's capacity requirement is a
-//! computed fact rather than a load-time surprise. [`check_fit`] turns
-//! that walk into a pre-flight admission check: the first node that
-//! would push any arena past `cap` is reported by name, before a single
-//! element is carved. `McuCore::load` runs this check first, which is
-//! what makes a failed load side-effect free.
-//!
-//! The accounting is *exact*, not an estimate: `exec.rs` keeps the
-//! per-arena totals it actually carves, and the equivalence tests
-//! assert `arena_used() == footprint` on every fixture and on the fuzz
-//! corpus. Anything this module over- or under-counts is a test
-//! failure, not drift.
+//! `carve` walks the nodes in load order. For each node, `node_plan`
+//! (the only code that maps a [`NodeKind`] to buffer sizes) checks the
+//! parameters and sizes the buffers; the walk places them at the running
+//! per-arena totals and hands the placed spans to its caller.
+//! [`McuCore::load`](crate::McuCore::load) stores those spans;
+//! [`image_footprint`] and [`check_fit`] keep only the tallies. Because
+//! load and certificate read the same walk, the certified occupancy is
+//! what load carves by construction. [`check_fit`] names the first node
+//! that would push any arena past `cap`; `load` raises the same error
+//! before it stores anything, which is what makes a failed load
+//! side-effect free.
 
-use crate::exec::{plan_swap_cap, plan_twiddle_cap, McuExecError};
+use crate::exec::McuExecError;
+use crate::fft;
 use crate::image::{McuImage, NodeKind, NodeSpec, PortSource, MAX_NODES};
+use core::ops::Range;
 
 /// The seven fixed arenas a [`McuCore`](crate::McuCore) carves at load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +103,7 @@ pub struct ArenaUse {
 
 impl ArenaUse {
     fn add(&mut self, node: u16, elements: usize) {
-        self.elements += elements;
+        self.elements = self.elements.saturating_add(elements);
         if elements > self.peak_elements {
             self.peak_elements = elements;
             self.peak_node = node;
@@ -166,13 +165,69 @@ impl ImageFootprint {
     }
 }
 
-/// Per-node element needs — the footprint of one node's carve.
-struct NodeNeeds {
-    p: usize,
-    f: usize,
-    c: usize,
-    s: usize,
-    b: usize,
+/// A `[start, start + cap)` slice of one arena, placed by [`carve`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) cap: u32,
+}
+
+impl Span {
+    pub(crate) const EMPTY: Span = Span { start: 0, cap: 0 };
+
+    /// An unplaced span of `cap` elements. Every buffer size derives
+    /// from a `u32` image parameter, so the narrowing is lossless.
+    fn sized(cap: usize) -> Span {
+        Span {
+            start: 0,
+            cap: cap as u32,
+        }
+    }
+
+    pub(crate) fn range(self, len: usize) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + len
+    }
+
+    pub(crate) fn full(self) -> Range<usize> {
+        self.range(self.cap as usize)
+    }
+
+    pub(crate) fn cap(self) -> usize {
+        self.cap as usize
+    }
+}
+
+/// Where one node's buffers live: the spans `McuCore::load` stores in
+/// the node's state and result slot. Fields are grouped by arena, each
+/// group in carve order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeCarve {
+    /// Sample arena: window ring or zcr-variance scratch.
+    pub(crate) aux_p: Span,
+    /// Sample arena: taper table.
+    pub(crate) coeffs: Span,
+    /// Sample arena: vector payload.
+    pub(crate) vec: Span,
+    /// Scalar arena: moving-average ring or Goertzel probe table.
+    pub(crate) aux_f: Span,
+    /// Scalar arena: widening scratch for `f32` pipelines.
+    pub(crate) wide_in: Span,
+    /// Complex arena: forward twiddle table.
+    pub(crate) fwd: Span,
+    /// Complex arena: inverse twiddle table.
+    pub(crate) inv: Span,
+    /// Complex arena: spectrum payload.
+    pub(crate) spec: Span,
+    /// Swap arena: bit-reversal table.
+    pub(crate) swaps: Span,
+    /// Mask arena: band-filter keep mask.
+    pub(crate) mask: Span,
+}
+
+/// One node's unplaced buffers and the payload it emits.
+struct NodePlan {
+    carve: NodeCarve,
     /// Payload length the node emits (0 for scalar producers).
     out_len: usize,
     /// Whether the emitted payload is a spectrum (complex) rather than
@@ -180,50 +235,65 @@ struct NodeNeeds {
     spectral_out: bool,
 }
 
-/// Elements node `node` carves from each arena, given its incoming
-/// payload length. Mirrors `McuCore::load`'s per-kind match
-/// element-for-element, including the parameter validation it performs
-/// before carving.
-fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, McuExecError> {
-    let mut needs = NodeNeeds {
-        p: 0,
-        f: 0,
-        c: 0,
-        s: 0,
-        b: 0,
-        out_len: 0,
-        spectral_out: false,
-    };
+/// Swap-table capacity to reserve for a predicted transform length.
+/// Non-power-of-two predictions reserve nothing: the plan will fail
+/// with `BadTransformLength` before the table is needed.
+fn plan_swap_cap(n: usize) -> usize {
+    if fft::is_power_of_two(n) {
+        fft::swap_count(n)
+    } else {
+        0
+    }
+}
+
+/// Twiddle-table capacity to reserve for a predicted transform length.
+fn plan_twiddle_cap(n: usize) -> usize {
+    if fft::is_power_of_two(n) {
+        fft::twiddle_count(n)
+    } else {
+        0
+    }
+}
+
+/// Checks node `node`'s parameters and sizes its buffers, given its
+/// incoming payload length: the one map from a [`NodeKind`] to arena
+/// sizes.
+fn node_plan(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodePlan, McuExecError> {
+    let mut c = NodeCarve::default();
+    let mut out_len = 0;
+    let mut spectral_out = false;
     match spec.kind {
         NodeKind::Window { size, hop, .. } => {
-            let (size, hop) = (size as usize, hop as usize);
             if size == 0 || hop == 0 || hop > size {
                 return Err(McuExecError::BadParameter {
                     node,
                     what: "window size and hop must be positive",
                 });
             }
-            // Ring + taper table + output payload.
-            needs.p = 3 * size;
-            needs.out_len = size;
+            let size = size as usize;
+            c.aux_p = Span::sized(size);
+            c.coeffs = Span::sized(size);
+            c.vec = Span::sized(size);
+            out_len = size;
         }
         NodeKind::Fft => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = plan_twiddle_cap(in_len) + in_len;
-            needs.f = in_len;
-            needs.out_len = in_len;
-            needs.spectral_out = true;
+            c.swaps = Span::sized(plan_swap_cap(in_len));
+            c.fwd = Span::sized(plan_twiddle_cap(in_len));
+            c.wide_in = Span::sized(in_len);
+            c.spec = Span::sized(in_len);
+            out_len = in_len;
+            spectral_out = true;
         }
         NodeKind::Ifft => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = plan_twiddle_cap(in_len) + in_len;
-            needs.p = in_len;
-            needs.out_len = in_len;
+            c.swaps = Span::sized(plan_swap_cap(in_len));
+            c.inv = Span::sized(plan_twiddle_cap(in_len));
+            c.spec = Span::sized(in_len);
+            c.vec = Span::sized(in_len);
+            out_len = in_len;
         }
         NodeKind::SpectralMagnitude => {
-            let m = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-            needs.p = m;
-            needs.out_len = m;
+            out_len = if in_len > 0 { in_len / 2 + 1 } else { 0 };
+            c.vec = Span::sized(out_len);
         }
         NodeKind::MovingAvg { window } => {
             if window == 0 {
@@ -232,7 +302,7 @@ fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, Mc
                     what: "moving-average window must be positive",
                 });
             }
-            needs.f = window as usize;
+            c.aux_f = Span::sized(window as usize);
         }
         NodeKind::ExpMovingAvg { alpha } => {
             if !(alpha > 0.0 && alpha <= 1.0) {
@@ -243,15 +313,17 @@ fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, Mc
             }
         }
         NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = 2 * plan_twiddle_cap(in_len) + in_len;
-            needs.b = in_len;
-            needs.f = in_len;
-            needs.p = in_len;
-            needs.out_len = in_len;
+            c.swaps = Span::sized(plan_swap_cap(in_len));
+            c.fwd = Span::sized(plan_twiddle_cap(in_len));
+            c.inv = Span::sized(plan_twiddle_cap(in_len));
+            c.mask = Span::sized(in_len);
+            c.wide_in = Span::sized(in_len);
+            c.spec = Span::sized(in_len);
+            c.vec = Span::sized(in_len);
+            out_len = in_len;
         }
         NodeKind::ZcrVariance { sub_windows } => {
-            needs.p = sub_windows as usize;
+            c.aux_p = Span::sized(sub_windows as usize);
         }
         NodeKind::Goertzel { lo_hz, hi_hz }
         | NodeKind::GoertzelFreq { lo_hz, hi_hz }
@@ -262,7 +334,7 @@ fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, Mc
                     what: "goertzel band must be finite with 0 <= lo <= hi",
                 });
             }
-            needs.f = if in_len > 0 { in_len / 2 + 1 } else { 0 };
+            c.aux_f = Span::sized(if in_len > 0 { in_len / 2 + 1 } else { 0 });
         }
         NodeKind::VectorMagnitude
         | NodeKind::Zcr
@@ -277,7 +349,11 @@ fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, Mc
         | NodeKind::AllOf
         | NodeKind::AnyOf => {}
     }
-    Ok(needs)
+    Ok(NodePlan {
+        carve: c,
+        out_len,
+        spectral_out,
+    })
 }
 
 /// Computes the exact per-arena occupancy of `image`, walking nodes in
@@ -288,13 +364,13 @@ fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, Mc
 /// [`McuExecError::BadParameter`] on exactly the parameters
 /// [`McuCore::load`](crate::McuCore::load) rejects, at the same node.
 pub fn image_footprint(image: &McuImage) -> Result<ImageFootprint, McuExecError> {
-    walk(image, usize::MAX).map(|(fp, _)| fp)
+    carve(image, usize::MAX, |_, _| {})
 }
 
 /// [`image_footprint`] plus an admission check against a core of
 /// capacity `cap`: the first node whose carve would overflow any arena
-/// is reported with the arena's name — before `McuCore::load` touches
-/// anything.
+/// is reported with the arena's name, exactly as `McuCore::load`
+/// reports it.
 ///
 /// # Errors
 ///
@@ -302,18 +378,29 @@ pub fn image_footprint(image: &McuImage) -> Result<ImageFootprint, McuExecError>
 /// [`McuExecError::ArenaOverflow`] naming the arena and the offending
 /// node when the image does not fit.
 pub fn check_fit(image: &McuImage, cap: usize) -> Result<ImageFootprint, McuExecError> {
-    match walk(image, cap)? {
-        (fp, None) => Ok(fp),
-        (_, Some(err)) => Err(err),
-    }
+    carve(image, cap, |_, _| {})
 }
 
-/// Shared walk: accumulates the footprint and records the first
-/// capacity crossing against `cap` (pass `usize::MAX` for none).
-fn walk(
+/// The load-order walk: sizes each node with `node_plan`, places its
+/// buffers at the running per-arena totals, hands the placed spans to
+/// `place` (with the node's dense index) and tallies the footprint.
+///
+/// Every sum saturates, so a program too large for the address space
+/// reaches `usize::MAX` elements (an overflow against any real `cap`)
+/// instead of wrapping to a small total that would seem to fit. The
+/// spans handed to `place` are meaningful only when the walk returns
+/// `Ok`.
+///
+/// # Errors
+///
+/// [`McuExecError::BadParameter`] at the first invalid node, even past
+/// an overflow; otherwise [`McuExecError::ArenaOverflow`] naming the
+/// first node and arena to cross `cap`.
+pub(crate) fn carve(
     image: &McuImage,
     cap: usize,
-) -> Result<(ImageFootprint, Option<McuExecError>), McuExecError> {
+    mut place: impl FnMut(usize, &NodeCarve),
+) -> Result<ImageFootprint, McuExecError> {
     let mut fp = ImageFootprint::default();
     let mut overflow: Option<McuExecError> = None;
     let mut lens = [0usize; MAX_NODES];
@@ -323,50 +410,64 @@ fn walk(
             PortSource::Channel(_) => 0,
             PortSource::Node(src) => lens[src as usize],
         };
-        let needs = node_needs(node, spec, in_len)?;
-        lens[i] = needs.out_len;
+        let mut plan = node_plan(node, spec, in_len)?;
+        lens[i] = plan.out_len;
 
-        let carves = [
-            (ArenaKind::Sample, needs.p),
-            (ArenaKind::Scalar, needs.f),
-            (ArenaKind::Complex, needs.c),
-            (ArenaKind::Swap, needs.s),
-            (ArenaKind::Mask, needs.b),
+        let c = &mut plan.carve;
+        let arenas: [(ArenaKind, &mut [&mut Span]); 5] = [
+            (
+                ArenaKind::Sample,
+                &mut [&mut c.aux_p, &mut c.coeffs, &mut c.vec],
+            ),
+            (ArenaKind::Scalar, &mut [&mut c.aux_f, &mut c.wide_in]),
+            (
+                ArenaKind::Complex,
+                &mut [&mut c.fwd, &mut c.inv, &mut c.spec],
+            ),
+            (ArenaKind::Swap, &mut [&mut c.swaps]),
+            (ArenaKind::Mask, &mut [&mut c.mask]),
         ];
-        for (kind, elements) in carves {
+        for (kind, spans) in arenas {
             let arena = &mut fp.arenas[kind.index()];
-            arena.add(node, elements);
-            if overflow.is_none() && arena.elements > cap {
-                overflow = Some(McuExecError::ArenaOverflow {
-                    arena: kind.name(),
-                    node,
-                    needed: arena.elements,
-                    capacity: cap,
-                });
+            // One entry per node and arena: a window's ring, taper and
+            // payload count as one 3 x size contribution.
+            let mut elements = 0usize;
+            for span in spans.iter_mut() {
+                span.start = arena.elements.saturating_add(elements) as u32;
+                elements = elements.saturating_add(span.cap());
             }
+            arena.add(node, elements);
+            overflow = overflow.or(crossing(kind, arena, node, cap));
         }
         // A consumed payload is copied through the matching staging
         // arena on every feed; unconsumed payloads (the OUT node's) are
         // never staged.
-        if spec.consumer_mask != 0 && needs.out_len > 0 {
-            let kind = if needs.spectral_out {
+        if spec.consumer_mask != 0 && plan.out_len > 0 {
+            let kind = if plan.spectral_out {
                 ArenaKind::StageSpectrum
             } else {
                 ArenaKind::StageSample
             };
             let arena = &mut fp.arenas[kind.index()];
-            arena.stage(node, needs.out_len);
-            if overflow.is_none() && arena.elements > cap {
-                overflow = Some(McuExecError::ArenaOverflow {
-                    arena: kind.name(),
-                    node,
-                    needed: arena.elements,
-                    capacity: cap,
-                });
-            }
+            arena.stage(node, plan.out_len);
+            overflow = overflow.or(crossing(kind, arena, node, cap));
         }
+        place(i, &plan.carve);
     }
-    Ok((fp, overflow))
+    match overflow {
+        Some(err) => Err(err),
+        None => Ok(fp),
+    }
+}
+
+/// The overflow error when `arena` has grown past `cap`.
+fn crossing(kind: ArenaKind, arena: &ArenaUse, node: u16, cap: usize) -> Option<McuExecError> {
+    (arena.elements > cap).then_some(McuExecError::ArenaOverflow {
+        arena: kind.name(),
+        node,
+        needed: arena.elements,
+        capacity: cap,
+    })
 }
 
 #[cfg(test)]
@@ -462,5 +563,44 @@ mod tests {
                 what: "moving-average window must be positive",
             }
         );
+    }
+
+    #[test]
+    fn spans_follow_each_arena_in_carve_order() {
+        // window(16) -> fft -> spectralMagnitude: the sample arena holds
+        // ring, taper, window payload, then the magnitude payload; the
+        // complex arena holds the twiddles, then the spectrum.
+        let mut b = ImageBuilder::new();
+        let win = b
+            .push_node(
+                NodeKind::Window {
+                    size: 16,
+                    hop: 16,
+                    shape: WindowShape::Hamming,
+                },
+                &[PortSource::Channel(0)],
+                64.0,
+            )
+            .unwrap();
+        let fft = b
+            .push_node(NodeKind::Fft, &[PortSource::Node(win)], 64.0)
+            .unwrap();
+        let mag = b
+            .push_node(NodeKind::SpectralMagnitude, &[PortSource::Node(fft)], 64.0)
+            .unwrap();
+        let image = b.finish(mag).unwrap();
+        let mut spans = [NodeCarve::default(); 3];
+        let fp = carve(&image, 128, |i, c| spans[i] = *c).unwrap();
+        let at = |s: Span| (s.start, s.cap);
+        assert_eq!(at(spans[0].aux_p), (0, 16));
+        assert_eq!(at(spans[0].coeffs), (16, 16));
+        assert_eq!(at(spans[0].vec), (32, 16));
+        assert_eq!(at(spans[1].fwd), (0, 15));
+        assert_eq!(at(spans[1].spec), (15, 16));
+        assert_eq!(at(spans[1].wide_in), (0, 16));
+        assert_eq!(at(spans[2].vec), (48, 9));
+        assert_eq!(fp.arena(ArenaKind::Sample).elements, 57);
+        assert_eq!(fp.arena(ArenaKind::Sample).peak_elements, 48);
+        assert_eq!(fp.arena(ArenaKind::Complex).elements, 31);
     }
 }

@@ -178,8 +178,7 @@ const CERT_CAP: usize = 1538;
 /// Certificate soundness: `certify_program` must be total on arbitrary
 /// parseable programs, must agree exactly with the loader about what
 /// fits, and its bounds must dominate everything a real execution
-/// measures — arena occupancy, staging high-water marks, and per-node
-/// emission counts.
+/// measures — staging high-water marks and per-node emission counts.
 pub fn cert_soundness(data: &[u8]) {
     let text = String::from_utf8_lossy(data);
     let Ok(program) = text.parse::<Program>() else {
@@ -225,17 +224,6 @@ pub fn cert_soundness(data: &[u8]) {
             return;
         }
         Err(e) => panic!("load failed for a non-arena reason: {e:?}"),
-    }
-
-    // Exact arena accounting: carved == certified, element for element.
-    let used = core.arena_used();
-    for (kind, &u) in ArenaKind::ALL[..5].iter().zip(used.iter()) {
-        assert_eq!(
-            u,
-            cert.arenas[kind.index()].elements,
-            "{} carve diverged from the certificate",
-            kind.name()
-        );
     }
 
     // Execute a deterministic schedule under the high-water probe; every
