@@ -38,10 +38,13 @@ pub struct AudioFeatures {
 
 impl AudioFeatures {
     /// Extracts both features; `None` for windows too short to split.
+    /// The sub-window rates live on the stack, so a window costs no
+    /// allocation.
     pub fn of(window: &[f64]) -> Option<AudioFeatures> {
+        let mut rates = [0.0; ZCR_SPLIT];
         Some(AudioFeatures {
             variance: stats::variance(window)?,
-            zcr_variance: zcr::zcr_variance(window, ZCR_SPLIT)?,
+            zcr_variance: zcr::zcr_variance_into(window, ZCR_SPLIT, &mut rates)?,
         })
     }
 

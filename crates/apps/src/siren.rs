@@ -19,13 +19,15 @@ use sidewinder_core::algorithm::{
     Window,
 };
 use sidewinder_core::{ProcessingBranch, ProcessingPipeline};
-use sidewinder_dsp::{fft, filter, spectral};
+use sidewinder_dsp::{fft, spectral, BandFilterPlan, BandShape, Complex, FftPlan};
 use sidewinder_ir::Program;
 use sidewinder_sensors::{EventKind, Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::Application;
 
 /// Analysis window length in samples (128 ms at 8 kHz).
-const WINDOW: usize = 1024;
+pub const WINDOW: usize = 1024;
+/// The classifier's hop: windows overlap by half.
+pub const HOP: usize = WINDOW / 2;
 /// High-pass cut-off, Hz (paper value).
 const HIGHPASS_HZ: f64 = 750.0;
 /// Wake-up condition: peak spectral magnitude above the cut-off.
@@ -105,19 +107,56 @@ impl SirenDetectorApp {
             .compile()
             .expect("narrow-band siren pipeline is well-formed")
     }
+}
 
-    /// Whether one window is a pitched sound in the siren band.
-    fn window_is_siren(window: &[f64], rate: f64) -> bool {
-        let filtered = match filter::fft_highpass(window, HIGHPASS_HZ, rate) {
-            Ok(f) => f,
-            Err(_) => return false,
+/// The classifier's planned kernels and the buffers they fill: built
+/// once per [`Application::classify`] call and reused by every window,
+/// so a window costs a filter and an FFT but no allocation.
+struct SirenScratch {
+    /// The paper's 750 Hz high-pass at the trace's rate.
+    highpass: BandFilterPlan,
+    fft: FftPlan,
+    spectrum: Vec<Complex>,
+    filtered: Vec<f64>,
+    magnitudes: Vec<f64>,
+    rate: f64,
+}
+
+impl SirenScratch {
+    fn new(rate: f64) -> SirenScratch {
+        let shape = BandShape::HighPass {
+            cutoff_hz: HIGHPASS_HZ,
         };
-        let mags = fft::real_fft_magnitudes(&filtered);
-        let Some(peak) = spectral::dominant_bin(&mags[1..]) else {
+        SirenScratch {
+            highpass: BandFilterPlan::new(WINDOW, shape, rate).expect("WINDOW is a power of two"),
+            fft: FftPlan::new(WINDOW).expect("WINDOW is a power of two"),
+            spectrum: Vec::with_capacity(WINDOW),
+            filtered: Vec::with_capacity(WINDOW),
+            magnitudes: Vec::with_capacity(WINDOW / 2 + 1),
+            rate,
+        }
+    }
+
+    /// Whether one `WINDOW`-sample window is a pitched sound in the
+    /// siren band: high-pass, one-sided FFT magnitudes, then the
+    /// dominant bin's frequency and its ratio to the mean.
+    fn window_is_siren(&mut self, window: &[f64]) -> bool {
+        self.highpass
+            .filter_into(window, &mut self.spectrum, &mut self.filtered);
+        self.fft
+            .process_real_forward_into(&self.filtered, &mut self.spectrum);
+        self.magnitudes.clear();
+        self.magnitudes.extend(
+            self.spectrum[..=window.len() / 2]
+                .iter()
+                .map(|z| z.magnitude()),
+        );
+        let mags = &self.magnitudes[1..];
+        let Some(peak) = spectral::dominant_bin(mags) else {
             return false;
         };
-        let freq = fft::bin_to_frequency(peak.bin + 1, window.len(), rate);
-        let Some(ratio) = spectral::dominant_to_mean_ratio(&mags[1..]) else {
+        let freq = fft::bin_to_frequency(peak.bin + 1, window.len(), self.rate);
+        let Some(ratio) = spectral::dominant_to_mean_ratio(mags) else {
             return false;
         };
         peak.magnitude > WAKE_PEAK
@@ -140,12 +179,13 @@ impl Application for SirenDetectorApp {
         else {
             return Vec::new();
         };
-        let hop = WINDOW / 2;
+        let hop = HOP;
+        let mut scratch = SirenScratch::new(rate);
         let mut detections = Vec::new();
         let mut run_windows = 0usize;
         let mut reported = false;
         for (window, end_time) in windows_of(slice, first_index, rate, WINDOW, hop) {
-            if SirenDetectorApp::window_is_siren(window, rate) {
+            if scratch.window_is_siren(window) {
                 run_windows += 1;
                 let pitched_us =
                     (WINDOW + (run_windows - 1) * hop) as u64 * 1_000_000 / rate as u64;

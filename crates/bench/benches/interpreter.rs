@@ -1,5 +1,6 @@
 //! Hub-interpreter throughput: how many sensor samples per second the
-//! IR runtime sustains for each evaluation wake-up condition, plus the
+//! IR runtime sustains for each evaluation wake-up condition (and for
+//! the music condition fed a recorded trace in stretches), plus the
 //! fusion ablation (shared vs separate instances for concurrent
 //! conditions).
 //!
@@ -8,7 +9,7 @@
 //! measurements machine-readably.
 
 use criterion::{criterion_group, criterion_main};
-use sidewinder_bench::suites::{bench_conditions, bench_fusion};
+use sidewinder_bench::suites::{bench_conditions, bench_fusion, bench_stretches};
 
-criterion_group!(benches, bench_conditions, bench_fusion);
+criterion_group!(benches, bench_conditions, bench_stretches, bench_fusion);
 criterion_main!(benches);

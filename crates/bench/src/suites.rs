@@ -5,14 +5,17 @@
 //! [`criterion::take_records`].
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use sidewinder_apps::{MusicJournalApp, SirenDetectorApp, StepsApp};
+use sidewinder_apps::common::windows_of;
+use sidewinder_apps::{features, siren};
+use sidewinder_apps::{MusicJournalApp, PhraseDetectionApp, SirenDetectorApp, StepsApp};
 use sidewinder_dsp::filter::{fft_highpass, MovingAverage};
 use sidewinder_dsp::window::WindowShape;
 use sidewinder_dsp::{fft, goertzel, stats, zcr};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
 use sidewinder_opt::{fuse_programs, optimize, OptOptions};
-use sidewinder_sensors::SensorChannel;
+use sidewinder_sensors::{Micros, SensorChannel};
 use sidewinder_sim::Application;
+use sidewinder_tracegen::{audio_trace, AudioTraceConfig};
 
 /// Samples per batch fed to the interpreter benches; also the declared
 /// element throughput, so reported rates are samples per second.
@@ -72,6 +75,84 @@ pub fn bench_conditions(c: &mut Criterion) {
                     .unwrap()
                     .len()
             })
+        });
+    }
+    group.finish();
+}
+
+/// The music fixture over a 30 s office mic trace, pushed in 4000-sample
+/// stretches as the simulator hands fault-free stretches to the hub:
+/// the window fill carries every sample that completes no window.
+pub fn bench_stretches(c: &mut Criterion) {
+    let program: sidewinder_ir::Program = include_str!("../../ir/tests/fixtures/music.swir")
+        .parse()
+        .expect("the music fixture parses");
+    let trace = audio_trace(&AudioTraceConfig {
+        duration: Micros::from_secs(30),
+        ..AudioTraceConfig::default()
+    });
+    let samples = trace
+        .channel(SensorChannel::Mic)
+        .expect("audio traces carry MIC")
+        .samples();
+    let mut group = c.benchmark_group("hub_interpreter");
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    group.bench_function("music_office_30s_stretches", |b| {
+        let mut hub = HubRuntime::load(&program, &ChannelRates::default()).unwrap();
+        b.iter(|| {
+            let mut wakes = 0;
+            for stretch in samples.chunks(4000) {
+                wakes += hub
+                    .push_samples(SensorChannel::Mic, black_box(stretch))
+                    .unwrap()
+                    .len();
+            }
+            wakes
+        })
+    });
+    group.finish();
+}
+
+/// Phone-side classification: each audio app's `classify` over a whole
+/// 60 s office trace. Each row prints how many windows one call
+/// classifies, a deterministic count to split `classify` time per app
+/// by.
+pub fn bench_classify(c: &mut Criterion) {
+    let trace = audio_trace(&AudioTraceConfig {
+        duration: Micros::from_secs(60),
+        ..AudioTraceConfig::default()
+    });
+    let mic = trace
+        .channel(SensorChannel::Mic)
+        .expect("audio traces carry MIC");
+    let end = Micros::from_secs(60);
+    let apps: [(&str, Box<dyn Application>, usize, usize); 3] = [
+        (
+            "sirens",
+            Box::new(SirenDetectorApp::new()),
+            siren::WINDOW,
+            siren::HOP,
+        ),
+        (
+            "music",
+            Box::new(MusicJournalApp::new()),
+            features::WINDOW,
+            features::WINDOW,
+        ),
+        (
+            "phrase",
+            Box::new(PhraseDetectionApp::new()),
+            features::WINDOW,
+            features::WINDOW,
+        ),
+    ];
+    let mut group = c.benchmark_group("classify");
+    for (name, app, window, hop) in &apps {
+        let windows = windows_of(mic.samples(), 0, mic.rate_hz(), *window, *hop).count();
+        println!("classify/{name}: {windows} windows classified per call");
+        group.throughput(Throughput::Elements(windows as u64));
+        group.bench_function(*name, |b| {
+            b.iter(|| app.classify(black_box(&trace), Micros::ZERO, end).len())
         });
     }
     group.finish();

@@ -173,6 +173,38 @@ impl<P: Sample> Windower<P> {
         emit
     }
 
+    /// How many more samples the windower can take before one of them
+    /// completes a window ([`sidewinder_mcu::window::quiet_len`] over
+    /// this ring's state).
+    pub fn quiet_len(&self) -> usize {
+        sidewinder_mcu::window::quiet_len(
+            self.len,
+            self.hop,
+            self.buf.len(),
+            self.primed,
+            self.since_emit,
+        )
+    }
+
+    /// Pushes samples none of which completes a window: the same ring
+    /// state as pushing each with [`Windower::push_into`], without the
+    /// per-sample emission checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` holds more than [`Windower::quiet_len`]
+    /// samples.
+    pub fn push_quiet(&mut self, samples: impl ExactSizeIterator<Item = P>) {
+        let n = samples.len();
+        assert!(n <= self.quiet_len(), "{n} samples would complete a window");
+        if self.hop != self.len && self.primed {
+            // A primed sliding ring is full: each sample drops the oldest.
+            self.buf.drain(..n);
+            self.since_emit += n;
+        }
+        self.buf.extend(samples);
+    }
+
     /// Copies the buffered window into `out` (cleared first) and applies
     /// the taper. Rectangular windows skip the multiply pass: every
     /// coefficient is exactly 1, so the copy already is the emission.
@@ -335,6 +367,57 @@ mod tests {
                 vec![4.0, 5.0, 6.0, 7.0]
             ]
         );
+    }
+
+    #[test]
+    fn quiet_len_counts_the_samples_before_the_next_window() {
+        // Before every push, `quiet_len` samples fill without emitting
+        // and the one after them emits — for partitioning and sliding
+        // geometries, before and after priming.
+        for (len, hop) in [(1, 1), (4, 4), (8, 1), (8, 3), (8, 8), (16, 5)] {
+            let mut w = Windower::<f64>::new(len, hop, WindowShape::Rectangular).unwrap();
+            let mut out = Vec::new();
+            let mut i = 0.0;
+            for _ in 0..4 * len {
+                for _ in 0..w.quiet_len() {
+                    assert!(!w.push_into(i, &mut out), "len {len} hop {hop}");
+                    i += 1.0;
+                }
+                assert!(w.push_into(i, &mut out), "len {len} hop {hop}");
+                i += 1.0;
+            }
+        }
+    }
+
+    #[test]
+    fn push_quiet_matches_pushing_each_sample() {
+        for (len, hop) in [(4, 4), (8, 3), (8, 1), (16, 16), (16, 7)] {
+            let mut bulk = Windower::<f32>::new(len, hop, WindowShape::Hamming).unwrap();
+            let mut each = bulk.clone();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let signal: Vec<f32> = (0..200).map(|k| (k as f32 * 0.3).sin()).collect();
+            let mut rest = &signal[..];
+            while !rest.is_empty() {
+                let n = bulk.quiet_len().min(rest.len());
+                bulk.push_quiet(rest[..n].iter().copied());
+                for &x in &rest[..n] {
+                    assert!(!each.push_into(x, &mut b));
+                }
+                rest = &rest[n..];
+                if let Some((&x, tail)) = rest.split_first() {
+                    assert_eq!(bulk.push_into(x, &mut a), each.push_into(x, &mut b));
+                    assert_eq!(a, b, "len {len} hop {hop}");
+                    rest = tail;
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "would complete a window")]
+    fn push_quiet_rejects_an_emitting_sample() {
+        let mut w = Windower::<f64>::non_overlapping(4, WindowShape::Rectangular).unwrap();
+        w.push_quiet([1.0, 2.0, 3.0, 4.0].into_iter());
     }
 
     #[test]

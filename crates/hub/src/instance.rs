@@ -111,8 +111,9 @@ enum AlgoState<P: Sample> {
         latest: Vec<Option<(u64, f64)>>,
     },
     Zcr,
+    /// One reusable slot per sub-window for the per-window rates.
     ZcrVariance {
-        sub_windows: u32,
+        rates: Vec<P>,
     },
     Stat(StatFn),
     DominantRatio,
@@ -287,7 +288,9 @@ impl<P: Sample> AlgoInstance<P> {
                 latest: vec![None; ports],
             },
             AlgorithmKind::Zcr => AlgoState::Zcr,
-            AlgorithmKind::ZcrVariance { sub_windows } => AlgoState::ZcrVariance { sub_windows },
+            AlgorithmKind::ZcrVariance { sub_windows } => AlgoState::ZcrVariance {
+                rates: vec![P::ZERO; sub_windows as usize],
+            },
             AlgorithmKind::Stat(s) => AlgoState::Stat(s),
             AlgorithmKind::DominantRatio => AlgoState::DominantRatio,
             AlgorithmKind::DominantFreq => AlgoState::DominantFreq { rate_hz },
@@ -375,6 +378,32 @@ impl<P: Sample> AlgoInstance<P> {
     /// on a node before feeding it, replacing the take-per-pass pattern.
     pub fn clear_result(&mut self) {
         self.out.kind = SlotKind::Empty;
+    }
+
+    /// How many samples a window node can take before one of them
+    /// completes a window ([`Windower::quiet_len`]); `None` for every
+    /// other kind.
+    pub(crate) fn quiet_len(&self) -> Option<usize> {
+        match &self.state {
+            AlgoState::Window(w) => Some(w.quiet_len()),
+            _ => None,
+        }
+    }
+
+    /// Feeds a window node samples none of which completes a window (at
+    /// most [`AlgoInstance::quiet_len`]), narrowing each to `P` exactly
+    /// as [`AlgoInstance::feed_ref`] does, and clears the result flag as
+    /// each feed's pass would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is not a window or a sample would emit.
+    pub(crate) fn push_quiet(&mut self, samples: &[f64]) {
+        let AlgoState::Window(w) = &mut self.state else {
+            panic!("node {}: only windows take quiet samples", self.id);
+        };
+        w.push_quiet(samples.iter().map(|&x| P::from_f64(x)));
+        self.clear_result();
     }
 
     /// Borrows the pending result without clearing the flag.
@@ -576,9 +605,9 @@ impl<P: Sample> AlgoInstance<P> {
                     out.set_scalar(seq, r.to_f64());
                 }
             }
-            AlgoState::ZcrVariance { sub_windows } => {
+            AlgoState::ZcrVariance { rates } => {
                 let window = input.as_vector().ok_or(type_err)?;
-                if let Some(v) = zcr::zcr_variance(window, *sub_windows as usize) {
+                if let Some(v) = zcr::zcr_variance_into(window, rates.len(), rates) {
                     out.set_scalar(seq, v.to_f64());
                 }
             }

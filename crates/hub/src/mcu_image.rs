@@ -59,7 +59,7 @@ pub(crate) fn compile_validated(
 
 /// IR algorithm → image node kind. The two enums are deliberately
 /// parallel; this match is the total (compiler-checked) bridge.
-fn node_kind(kind: &AlgorithmKind) -> NodeKind {
+pub(crate) fn node_kind(kind: &AlgorithmKind) -> NodeKind {
     match *kind {
         AlgorithmKind::Window { size, hop, shape } => NodeKind::Window {
             size,

@@ -14,9 +14,11 @@
 //! list per incoming sample propagates every derived result.
 
 use crate::instance::{AlgoInstance, ExecError};
+use crate::mcu_image::node_kind;
 use crate::value::ValueRef;
 use sidewinder_dsp::Sample;
 use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, ValidateError};
+use sidewinder_mcu::{ArenaKind, FootprintWalk, McuExecError};
 use sidewinder_obs::{Event, EventSink, NullSink};
 use sidewinder_sensors::SensorChannel;
 use std::collections::BTreeMap;
@@ -86,9 +88,28 @@ pub enum HubError {
     /// The program does not fit the MCU core's fixed-capacity image
     /// (raised by [`compile_image`](crate::mcu_image::compile_image)).
     Image(sidewinder_mcu::ImageError),
-    /// An algorithm instance failed at run time.
+    /// An algorithm instance failed at run time, or a node's parameters
+    /// were rejected at load.
     Exec(ExecError),
+    /// The program's buffers would take more than [`HOST_LOAD_BUDGET`]
+    /// bytes; the loader refuses it before allocating any of them.
+    TooLarge {
+        /// Bytes the program's buffers would take (saturating).
+        needed: usize,
+        /// The budget they exceed.
+        budget: usize,
+        /// The node with the largest single buffer.
+        node: NodeId,
+    },
 }
+
+/// The most bytes of buffers [`HubRuntime`] allocates for one program:
+/// the sum of the program's arena footprint
+/// ([`sidewinder_mcu::footprint`]'s walk, the one the MCU core and the
+/// certifier use) at the runtime's sample width. Every evaluation
+/// condition and suite in this repository takes well under 1 MiB; the
+/// budget only stops a validated program from asking for gigabytes.
+pub const HOST_LOAD_BUDGET: usize = 64 << 20;
 
 /// Errors raised while assembling a validated program into the loaded
 /// node table.
@@ -140,6 +161,15 @@ impl std::fmt::Display for HubError {
             HubError::Load(e) => write!(f, "load failed: {e}"),
             HubError::Image(e) => write!(f, "image compilation failed: {e}"),
             HubError::Exec(e) => write!(f, "execution failed: {e}"),
+            HubError::TooLarge {
+                needed,
+                budget,
+                node,
+            } => write!(
+                f,
+                "program needs {needed} bytes of buffers, over the host budget of \
+                 {budget} (largest: node {node})"
+            ),
         }
     }
 }
@@ -151,6 +181,7 @@ impl std::error::Error for HubError {
             HubError::Load(e) => Some(e),
             HubError::Image(e) => Some(e),
             HubError::Exec(e) => Some(e),
+            HubError::TooLarge { .. } => None,
         }
     }
 }
@@ -321,6 +352,10 @@ pub struct HubRuntime<S: EventSink = NullSink, P: Sample = f64> {
     /// Remaining channel-fed nodes (joins, mixed sources) as bitmasks,
     /// seeding the mask-based pass.
     entry_masks: [u128; SensorChannel::COUNT],
+    /// Per channel: the mask pass applies and every node the channel
+    /// feeds is a single-source window, so [`HubRuntime::push_samples`]
+    /// fills their rings a stretch at a time.
+    window_fill: [bool; SensorChannel::COUNT],
     /// Whether passes use the `u128` mask fast path. Set iff the program
     /// fits [`MASK_BITS`] nodes — the guard that keeps `1u128 << i` from
     /// ever seeing `i >= 128` — and clearable via
@@ -345,7 +380,8 @@ impl HubRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// Returns [`HubError::Invalid`] if the program fails validation and
+    /// [`HubError::TooLarge`] if its buffers exceed [`HOST_LOAD_BUDGET`].
     pub fn load(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
         Self::load_with_sink(program, rates, NullSink)
     }
@@ -361,7 +397,8 @@ impl HubRuntime32 {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// Returns [`HubError::Invalid`] if the program fails validation and
+    /// [`HubError::TooLarge`] if its buffers exceed [`HOST_LOAD_BUDGET`].
     pub fn load_f32(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
         Self::load_f32_with_sink(program, rates, NullSink)
     }
@@ -372,7 +409,8 @@ impl<S: EventSink> HubRuntime<S, f32> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// Returns [`HubError::Invalid`] if the program fails validation and
+    /// [`HubError::TooLarge`] if its buffers exceed [`HOST_LOAD_BUDGET`].
     pub fn load_f32_with_sink(
         program: &Program,
         rates: &ChannelRates,
@@ -387,7 +425,8 @@ impl<S: EventSink> HubRuntime<S, f64> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// Returns [`HubError::Invalid`] if the program fails validation and
+    /// [`HubError::TooLarge`] if its buffers exceed [`HOST_LOAD_BUDGET`].
     pub fn load_with_sink(
         program: &Program,
         rates: &ChannelRates,
@@ -405,7 +444,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// Returns [`HubError::Invalid`] if the program fails validation and
+    /// [`HubError::TooLarge`] if its buffers exceed [`HOST_LOAD_BUDGET`].
     pub fn load_generic(
         program: &Program,
         rates: &ChannelRates,
@@ -418,14 +458,23 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     /// Assembles the node table without re-validating. Split from
     /// [`HubRuntime::load_generic`] so the defensive error paths below
     /// (unreachable for validated programs) stay testable.
+    ///
+    /// The program is resolved and its footprint checked against
+    /// [`HOST_LOAD_BUDGET`] before any node allocates its buffers.
     pub(crate) fn load_validated(
         program: &Program,
         rates: &ChannelRates,
         sink: S,
     ) -> Result<Self, HubError> {
-        let mut nodes: Vec<LoadedNode<P>> = Vec::new();
-        let mut channel_entries: [Vec<usize>; SensorChannel::COUNT] = Default::default();
+        let mut resolved: Vec<ResolvedNode<'_>> = Vec::new();
         let out_index = resolve_program(program, rates, |node| {
+            resolved.push(node);
+            Ok(())
+        })?;
+        check_footprint::<P>(&resolved)?;
+        let mut nodes: Vec<LoadedNode<P>> = Vec::with_capacity(resolved.len());
+        let mut channel_entries: [Vec<usize>; SensorChannel::COUNT] = Default::default();
+        for node in resolved {
             let index = nodes.len();
             for source in &node.sources {
                 match *source {
@@ -444,8 +493,7 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
                 consumers: Vec::new(),
                 consumer_mask: 0,
             });
-            Ok(())
-        })?;
+        }
         let count = nodes.len();
         if count <= MASK_BITS {
             for node in &mut nodes {
@@ -469,6 +517,13 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
                 }
             }
         }
+        let window_fill = std::array::from_fn(|c| {
+            count <= MASK_BITS
+                && entry_masks[c] == 0
+                && direct_feeds[c]
+                    .iter()
+                    .all(|&i| nodes[i].instance.quiet_len().is_some())
+        });
         Ok(HubRuntime {
             nodes,
             out_index,
@@ -476,6 +531,7 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
             channel_entries,
             direct_feeds,
             entry_masks,
+            window_fill,
             channel_seq: [0; SensorChannel::COUNT],
             wake_count: 0,
             ready: vec![false; count],
@@ -543,7 +599,9 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         samples: &[f64],
     ) -> Result<&[WakeEvent], HubError> {
         self.wake_buf.clear();
-        if self.use_mask {
+        if self.use_mask && self.window_fill[channel.index()] && !S::ENABLED {
+            self.push_filling(channel, samples)?;
+        } else if self.use_mask {
             for &sample in samples {
                 self.run_pass_masked(channel, sample)?;
             }
@@ -553,6 +611,44 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
             }
         }
         Ok(&self.wake_buf)
+    }
+
+    /// [`HubRuntime::push_samples`] for a channel that feeds only
+    /// single-source windows: the samples that complete no window go
+    /// straight into the rings ([`AlgoInstance::push_quiet`]), advancing
+    /// the channel's sequence as their passes would, and only a sample
+    /// that completes a window runs the masked pass. Used only without
+    /// an enabled sink, whose per-node events need every pass.
+    fn push_filling(
+        &mut self,
+        channel: SensorChannel,
+        mut samples: &[f64],
+    ) -> Result<(), HubError> {
+        let ci = channel.index();
+        while !samples.is_empty() {
+            let HubRuntime {
+                nodes,
+                direct_feeds,
+                ..
+            } = self;
+            let quiet = direct_feeds[ci]
+                .iter()
+                .map(|&i| nodes[i].instance.quiet_len().unwrap_or(0))
+                .fold(samples.len(), usize::min);
+            let (quiet, rest) = samples.split_at(quiet);
+            if !quiet.is_empty() {
+                for &i in &direct_feeds[ci] {
+                    nodes[i].instance.push_quiet(quiet);
+                }
+                self.channel_seq[ci] += quiet.len() as u64;
+            }
+            let Some((&sample, rest)) = rest.split_first() else {
+                break;
+            };
+            self.run_pass_masked(channel, sample)?;
+            samples = rest;
+        }
+        Ok(())
     }
 
     /// Forces every subsequent pass onto the dense-scan fallback, even for
@@ -787,6 +883,66 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
             self.sink.record(Event::HubReset);
         }
     }
+}
+
+/// Checks the resolved program's buffers against [`HOST_LOAD_BUDGET`]
+/// with the MCU's footprint walk, before anything is allocated: each
+/// node is sized from its parameters and its first input's payload
+/// length, exactly as [`sidewinder_mcu::footprint::image_footprint`]
+/// sizes an image, and the total is taken at `P`'s width.
+///
+/// # Errors
+///
+/// [`ExecError::BadParameter`] at the first node whose parameters the
+/// walk rejects (the checks and messages [`AlgoInstance::new`] uses),
+/// then [`HubError::TooLarge`] over the budget.
+fn check_footprint<P: Sample>(resolved: &[ResolvedNode<'_>]) -> Result<(), HubError> {
+    let mut consumed = vec![false; resolved.len()];
+    for node in resolved {
+        for source in &node.sources {
+            if let PortSource::Node(src) = *source {
+                consumed[src] = true;
+            }
+        }
+    }
+    let mut walk = FootprintWalk::new(usize::MAX);
+    let mut lens: Vec<usize> = Vec::with_capacity(resolved.len());
+    for (node, &consumed) in resolved.iter().zip(&consumed) {
+        let in_len = match node.sources[0] {
+            PortSource::Channel(_) => 0,
+            PortSource::Node(src) => lens[src],
+        };
+        let out_len = walk
+            .push(&node_kind(node.kind), in_len, consumed)
+            .map_err(|e| match e {
+                McuExecError::BadParameter { what, .. } => {
+                    ExecError::BadParameter { id: node.id, what }
+                }
+                other => unreachable!("the footprint walk only rejects parameters: {other}"),
+            })?;
+        lens.push(out_len);
+    }
+    let footprint = walk.finish().expect("an uncapped walk never overflows");
+    let sample_bytes = std::mem::size_of::<P>();
+    let needed = footprint.total_bytes(sample_bytes);
+    if needed <= HOST_LOAD_BUDGET {
+        return Ok(());
+    }
+    let peak = ArenaKind::ALL
+        .into_iter()
+        .map(|k| footprint.arena(k))
+        .zip(ArenaKind::ALL)
+        .max_by_key(|(arena, k)| {
+            arena
+                .peak_elements
+                .saturating_mul(k.element_bytes(sample_bytes))
+        })
+        .map_or(0, |(arena, _)| usize::from(arena.peak_node));
+    Err(HubError::TooLarge {
+        needed,
+        budget: HOST_LOAD_BUDGET,
+        node: resolved.get(peak).map_or(resolved[0].id, |n| n.id),
+    })
 }
 
 #[cfg(test)]

@@ -6,11 +6,17 @@
 //! The fixtures are the six golden wake-up conditions the determinism
 //! conformance suite replays; between them they cover windows, FFT-backed
 //! filters, ZCR features, joins, and sustained streaks.
+//!
+//! The serial reference runs with a `CounterSink`: an enabled sink keeps
+//! the per-sample pass for every sample, while `push_sample` on the
+//! default runtime is itself a one-sample `push_samples` and may take
+//! the window fill.
 
 use sidewinder_hub::instance::ExecError;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
 use sidewinder_hub::HubError;
 use sidewinder_ir::Program;
+use sidewinder_obs::CounterSink;
 use sidewinder_sensors::SensorChannel;
 
 /// Accelerometer drive: ±4 plateaus with quiet recovery spans, pushing
@@ -87,6 +93,14 @@ fn load(text: &str) -> HubRuntime {
     HubRuntime::load(&program, &ChannelRates::default()).unwrap()
 }
 
+/// The per-sample reference: a runtime whose enabled sink keeps every
+/// sample on the full pass.
+fn load_serial(text: &str) -> HubRuntime<CounterSink> {
+    let program: Program = text.parse().unwrap();
+    let sink = CounterSink::with_nodes(program.nodes().count());
+    HubRuntime::load_with_sink(&program, &ChannelRates::default(), sink).unwrap()
+}
+
 fn assert_wakes_equal(serial: &[WakeEvent], batched: &[WakeEvent], what: &str) {
     assert_eq!(
         serial.len(),
@@ -111,7 +125,7 @@ fn assert_wakes_equal(serial: &[WakeEvent], batched: &[WakeEvent], what: &str) {
 fn batched_ingestion_matches_serial_on_all_golden_fixtures() {
     for (name, text, channel, signal) in FIXTURES {
         let samples: Vec<f64> = (0..8192).map(signal).collect();
-        let mut serial_hub = load(text);
+        let mut serial_hub = load_serial(text);
         let mut serial = Vec::new();
         for &s in &samples {
             serial.extend(serial_hub.push_sample(channel, s).unwrap());
@@ -168,7 +182,7 @@ fn batched_ingestion_reports_the_same_error_as_serial() {
          6 -> OUT;";
     let samples: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
 
-    let mut serial_hub = load(text);
+    let mut serial_hub = load_serial(text);
     let mut serial_err = None;
     for (i, &s) in samples.iter().enumerate() {
         if let Err(e) = serial_hub.push_sample(SensorChannel::Mic, s) {

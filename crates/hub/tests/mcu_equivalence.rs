@@ -10,11 +10,23 @@
 //! are both pinned to the same frozen stream. A second tier replays the
 //! single-precision core (`McuCore<f32, _>`) and holds it to the same
 //! wake schedule within the perf gate's f32 tolerance.
+//!
+//! `McuCore::push_samples` fills window rings a stretch at a time, so
+//! the stretch tiers feed the same inputs in uneven stretches (empty and
+//! 1-sample ones included): the golden fixtures against their
+//! per-sample traces, and random window programs against a host
+//! `CounterSink` runtime, whose enabled sink keeps every sample on the
+//! full pass.
 
+mod common;
+
+use common::{fill_case, FillCase};
+use proptest::prelude::*;
 use sidewinder_cert::{certify_program, CertTarget, Precision};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_hub::{compile_image, McuCore, McuExecError, Sample};
 use sidewinder_ir::Program;
+use sidewinder_obs::CounterSink;
 use sidewinder_sensors::SensorChannel;
 
 /// The six golden wake-up conditions, as committed under `crates/ir`.
@@ -120,20 +132,46 @@ fn host_trace<P: Sample>(program: &Program) -> Vec<(u64, f64)> {
 /// A big-class core is ~1 MiB of arenas, so the caller runs this on a
 /// thread with a large stack (test threads default to 2 MiB).
 fn mcu_trace<P: Sample>(program: &Program) -> Vec<(u64, f64)> {
+    mcu_trace_split::<P>(program, &[])
+}
+
+/// [`mcu_trace`] on a single-channel program, fed through
+/// `push_samples` in stretches of the lengths in `split` (cycled); an
+/// empty `split` pushes one sample at a time through `push_sample`.
+fn mcu_trace_split<P: Sample>(program: &Program, split: &[usize]) -> Vec<(u64, f64)> {
     if fixture_cert(program).required_capacity <= DEFAULT_CORE {
-        run_core::<P, DEFAULT_CORE>(program)
+        run_core::<P, DEFAULT_CORE>(program, split)
     } else {
-        run_core::<P, BIG_CORE>(program)
+        run_core::<P, BIG_CORE>(program, split)
     }
 }
 
-fn run_core<P: Sample, const ARENA: usize>(program: &Program) -> Vec<(u64, f64)> {
+fn run_core<P: Sample, const ARENA: usize>(program: &Program, split: &[usize]) -> Vec<(u64, f64)> {
     let image =
         compile_image(program, &ChannelRates::default()).expect("fixture compiles to an image");
     let mut core: McuCore<P, ARENA> = McuCore::new();
     core.load(&image).expect("image fits the certified arena");
     let channels: Vec<SensorChannel> = program.channels();
     let mut trace = Vec::new();
+    if !split.is_empty() {
+        let [channel] = channels[..] else {
+            panic!("stretches interleave channels differently from the digest input");
+        };
+        let samples: Vec<f64> = (0..DIGEST_SAMPLES).map(|i| digest_sample(i, 0)).collect();
+        let mut rest = &samples[..];
+        for &n in split.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (stretch, tail) = rest.split_at(n.min(rest.len()));
+            core.push_samples(channel.index() as u8, stretch, &mut |w| {
+                trace.push((w.seq, w.value))
+            })
+            .expect("fixture executes on the core");
+            rest = tail;
+        }
+        return trace;
+    }
     for i in 0..DIGEST_SAMPLES {
         for (ci, &channel) in channels.iter().enumerate() {
             core.push_sample(channel.index() as u8, digest_sample(i, ci), &mut |w| {
@@ -319,4 +357,83 @@ fn f32_core_is_bit_identical_to_the_host_f32_pipeline() {
             }
         }
     });
+}
+
+/// Stretch lengths for the fixture stretch tier: empty and 1-sample
+/// stretches, and stretches ending one before, on and one after the
+/// fixtures' window boundaries.
+const STRETCHES: [usize; 10] = [0, 1, 7, 511, 512, 513, 1, 2047, 3000, 64];
+
+/// Stretch tier on the fixtures: fed through `push_samples` in uneven
+/// stretches, the core's trace equals its per-sample trace bit for bit
+/// at both precisions, and at f64 still hashes to the committed digest.
+#[test]
+fn core_stretches_match_the_per_sample_trace_on_all_fixtures() {
+    with_big_stack(|| {
+        for (name, text) in FIXTURES {
+            let program: Program = text.parse().unwrap();
+            let each = mcu_trace::<f64>(&program);
+            let stretched = mcu_trace_split::<f64>(&program, &STRETCHES);
+            assert_eq!(
+                trace_digest(&stretched),
+                golden_digest(name),
+                "fixture {name}: stretched core left the committed digest"
+            );
+            assert_eq!(trace_digest(&stretched), trace_digest(&each), "{name}");
+            let each = mcu_trace::<f32>(&program);
+            let stretched = mcu_trace_split::<f32>(&program, &STRETCHES);
+            assert_eq!(
+                trace_digest(&stretched),
+                trace_digest(&each),
+                "{name} at f32"
+            );
+        }
+    });
+}
+
+/// Wakes as `(seq, value bits)`, then the wake count.
+type Outcome = (Vec<(u64, u64)>, u64);
+
+/// A random window program fed in its stretches to the core and, as
+/// the reference, to a host runtime with an enabled sink.
+fn fill_outcomes<P: Sample>(case: &FillCase) -> (Outcome, Outcome) {
+    let program = case.program();
+    let rates = ChannelRates::default();
+    let sink = CounterSink::with_nodes(program.nodes().count());
+    let mut hub = HubRuntime::<_, P>::load_generic(&program, &rates, sink).unwrap();
+    let mut host = Vec::new();
+    case.feed(|channel, samples| {
+        let raised = hub.push_samples(channel, samples).unwrap();
+        host.extend(raised.iter().map(|w| (w.seq, w.value.to_bits())));
+    });
+    let mut core: Box<McuCore<P, DEFAULT_CORE>> = Box::new(McuCore::new());
+    core.load(&compile_image(&program, &rates).unwrap())
+        .unwrap();
+    let mut wakes = Vec::new();
+    case.feed(|channel, samples| {
+        core.push_samples(channel.index() as u8, samples, &mut |w| {
+            wakes.push((w.seq, w.value.to_bits()))
+        })
+        .unwrap();
+    });
+    ((wakes, core.wake_count()), (host, hub.wake_count()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stretch tier on random window programs, at both precisions.
+    #[test]
+    fn core_stretch_fill_matches_the_host_per_sample_pass(case in fill_case()) {
+        let (core, host) = with_big_stack({
+            let case = case.clone();
+            move || fill_outcomes::<f64>(&case)
+        });
+        prop_assert_eq!(core, host, "{:?}", case);
+        let (core, host) = with_big_stack({
+            let case = case.clone();
+            move || fill_outcomes::<f32>(&case)
+        });
+        prop_assert_eq!(core, host, "{:?} at f32", case);
+    }
 }

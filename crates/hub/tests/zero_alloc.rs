@@ -148,10 +148,9 @@ fn steps_with_counters_enabled_performs_zero_allocations() {
 }
 
 /// The windowed music condition also reaches an allocation-free steady
-/// state for its per-sample work; only the per-window ZCR feature (a
-/// handful of sub-window rates every 2048 samples) may allocate. Assert
-/// the per-sample path stays clean by bounding the whole batch to the
-/// four window emissions.
+/// state: the ZCR feature keeps its sub-window rates in a slot sized at
+/// load, so neither the per-sample work nor the window emissions
+/// allocate.
 #[test]
 fn music_per_sample_path_does_not_allocate() {
     let program: Program = include_str!("../../ir/tests/fixtures/music.swir")
@@ -165,10 +164,41 @@ fn music_per_sample_path_does_not_allocate() {
     let ((), allocated) = count_allocations(|| {
         hub.push_samples(SensorChannel::Mic, &samples).unwrap();
     });
-    // 8192 samples, 4 zcrVariance windows: two small vectors each.
-    assert!(
-        allocated <= 8,
-        "music batch allocated {allocated} times (expected only per-window ZCR scratch)"
+    assert_eq!(allocated, 0, "music batch allocated {allocated} times");
+}
+
+/// The window fill — samples that complete no window copied straight
+/// into the rings — allocates nothing either: the music condition fed
+/// in 4000-sample stretches, at both precisions.
+#[test]
+fn music_window_fill_performs_zero_allocations() {
+    let program: Program = include_str!("../../ir/tests/fixtures/music.swir")
+        .parse()
+        .unwrap();
+    let samples: Vec<f64> = (0..40_000).map(|i| (i as f64 * 0.785).sin()).collect();
+    let mut hub = HubRuntime::load(&program, &ChannelRates::default()).unwrap();
+    let mut narrow = HubRuntime32::load_f32(&program, &ChannelRates::default()).unwrap();
+    for stretch in samples.chunks(4000) {
+        hub.push_samples(SensorChannel::Mic, stretch).unwrap();
+        narrow.push_samples(SensorChannel::Mic, stretch).unwrap();
+    }
+    let (wakes, allocated) = count_allocations(|| {
+        let mut wakes = 0;
+        for stretch in samples.chunks(4000) {
+            wakes += hub.push_samples(SensorChannel::Mic, stretch).unwrap().len();
+            wakes += narrow
+                .push_samples(SensorChannel::Mic, stretch)
+                .unwrap()
+                .len();
+        }
+        wakes
+    });
+    assert!(wakes > 0, "the loud tone must wake the music condition");
+    assert_eq!(
+        allocated,
+        0,
+        "music window fill allocated {allocated} times over {} samples",
+        2 * samples.len()
     );
 }
 
@@ -205,14 +235,16 @@ fn mcu_core_performs_zero_allocations_total() {
                 }
                 assert!(wakes > 0, "steps must wake on the core");
 
+                // The music condition through the window fill.
                 core.load(&music_image).unwrap();
-                for i in 0..8192 {
-                    core.push_sample(
-                        SensorChannel::Mic.index() as u8,
-                        (i as f64 * 0.785).sin(),
-                        &mut |_| {},
-                    )
-                    .unwrap();
+                for start in (0..8192).step_by(4000) {
+                    let mut stretch = [0.0; 4000];
+                    for (k, x) in stretch.iter_mut().enumerate() {
+                        *x = ((start + k) as f64 * 0.785).sin();
+                    }
+                    let n = (8192 - start).min(4000);
+                    core.push_samples(SensorChannel::Mic.index() as u8, &stretch[..n], &mut |_| {})
+                        .unwrap();
                 }
             });
             assert_eq!(
@@ -228,7 +260,7 @@ fn mcu_core_performs_zero_allocations_total() {
 /// The precision parameter does not change the allocation story: the
 /// `f32` pipeline (ring buffers and vector scratch at single precision)
 /// reaches the same allocation-free steady state on the scalar steps
-/// chain and the same per-window bound on the windowed music condition.
+/// chain and on the windowed music condition.
 #[test]
 fn f32_pipelines_hold_the_same_allocation_bounds() {
     let steps: Program = include_str!("../../ir/tests/fixtures/steps.swir")
@@ -261,8 +293,5 @@ fn f32_pipelines_hold_the_same_allocation_bounds() {
     let ((), allocated) = count_allocations(|| {
         hub.push_samples(SensorChannel::Mic, &samples).unwrap();
     });
-    assert!(
-        allocated <= 8,
-        "f32 music batch allocated {allocated} times (expected only per-window ZCR scratch)"
-    );
+    assert_eq!(allocated, 0, "f32 music batch allocated {allocated} times");
 }

@@ -30,7 +30,7 @@ use crate::math;
 use crate::sample::Sample;
 use crate::spectral;
 use crate::stats;
-use crate::window::WindowShape;
+use crate::window::{self, WindowShape};
 use crate::zcr;
 use core::ops::Range;
 
@@ -453,6 +453,10 @@ pub struct McuCore<P: Sample = f64, const CAP: usize = DEFAULT_ARENA> {
     states: [NodeState; MAX_NODES],
     slots: [Slot; MAX_NODES],
     channel_seq: [u64; MAX_CHANNELS],
+    /// Per channel: every node the channel feeds is a single-source
+    /// window, so `push_samples` may fill their rings a stretch at a
+    /// time.
+    window_fill: [bool; MAX_CHANNELS],
     wake_count: u64,
     /// Sample-typed arena: window rings, taper tables, vector payloads.
     arena_p: [P; CAP],
@@ -486,6 +490,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
             states: [NodeState::EMPTY; MAX_NODES],
             slots: [Slot::EMPTY; MAX_NODES],
             channel_seq: [0; MAX_CHANNELS],
+            window_fill: [false; MAX_CHANNELS],
             wake_count: 0,
             arena_p: [P::ZERO; CAP],
             arena_f: [0.0; CAP],
@@ -531,6 +536,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         self.states = [NodeState::EMPTY; MAX_NODES];
         self.slots = [Slot::EMPTY; MAX_NODES];
         self.channel_seq = [0; MAX_CHANNELS];
+        self.window_fill = [false; MAX_CHANNELS];
         self.wake_count = 0;
 
         let McuCore { states, slots, .. } = self;
@@ -552,6 +558,15 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         for (st, spec) in self.states.iter().zip(image.nodes()) {
             if let NodeKind::Window { shape, .. } = spec.kind {
                 shape.fill_coefficients(&mut self.arena_p[st.coeffs.full()]);
+            }
+        }
+        for (ci, fill) in self.window_fill.iter_mut().enumerate() {
+            let mut direct = image.direct_feed_mask(ci);
+            *fill = image.entry_mask(ci) == 0;
+            while direct != 0 {
+                let i = direct.trailing_zeros() as usize;
+                direct &= direct - 1;
+                *fill &= matches!(image.nodes()[i].kind, NodeKind::Window { .. });
             }
         }
         self.image = *image;
@@ -635,7 +650,13 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         Ok(())
     }
 
-    /// Ingests a batch of samples on one channel.
+    /// Ingests a batch of samples on one channel: the same wakes, in the
+    /// same order, as pushing each sample.
+    ///
+    /// When every node the channel feeds is a single-source window, the
+    /// samples that complete no window are copied straight into the
+    /// rings (see [`window::quiet_len`]); only a sample that completes
+    /// a window runs a pass.
     ///
     /// # Errors
     ///
@@ -646,10 +667,91 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         samples: &[f64],
         on_wake: &mut impl FnMut(WakeEvent),
     ) -> Result<(), McuExecError> {
-        for &x in samples {
+        let ci = channel as usize;
+        if !(self.loaded && self.window_fill.get(ci) == Some(&true)) {
+            for &x in samples {
+                self.push_sample(channel, x, on_wake)?;
+            }
+            return Ok(());
+        }
+        let mut rest = samples;
+        while !rest.is_empty() {
+            let (quiet, tail) = rest.split_at(self.quiet_run(ci).min(rest.len()));
+            if !quiet.is_empty() {
+                self.fill_windows(ci, quiet);
+            }
+            let Some((&x, tail)) = tail.split_first() else {
+                break;
+            };
             self.push_sample(channel, x, on_wake)?;
+            rest = tail;
         }
         Ok(())
+    }
+
+    /// How many samples channel `ci`, which qualifies for the fill, can
+    /// take before one of them completes a window.
+    fn quiet_run(&self, ci: usize) -> usize {
+        let mut quiet = usize::MAX;
+        let mut direct = self.image.direct_feed_mask(ci);
+        while direct != 0 {
+            let i = direct.trailing_zeros() as usize;
+            direct &= direct - 1;
+            if let NodeKind::Window { size, hop, .. } = self.image.nodes()[i].kind {
+                let st = &self.states[i];
+                quiet = quiet.min(window::quiet_len(
+                    size as usize,
+                    hop as usize,
+                    st.fill as usize,
+                    st.primed,
+                    st.since_emit as usize,
+                ));
+            }
+        }
+        quiet
+    }
+
+    /// Appends `samples`, none of which completes a window (at most
+    /// [`quiet_run`](Self::quiet_run) of them), to the ring of every
+    /// window channel `ci` feeds, narrowing each to `P` as the
+    /// per-sample feed does, and advances the channel's sequence. The
+    /// windows' result slots are cleared, as each pass would.
+    fn fill_windows(&mut self, ci: usize, samples: &[f64]) {
+        let n = samples.len();
+        let mut direct = self.image.direct_feed_mask(ci);
+        while direct != 0 {
+            let i = direct.trailing_zeros() as usize;
+            direct &= direct - 1;
+            let NodeKind::Window { size, .. } = self.image.nodes()[i].kind else {
+                continue;
+            };
+            let len = size as usize;
+            let st = &mut self.states[i];
+            let ring = &mut self.arena_p[st.aux_p.range(len)];
+            // A full ring (a primed sliding window) overwrites its oldest
+            // sample at `head`; a filling one appends after its `fill`.
+            let full = st.fill as usize == len;
+            let start = if full {
+                st.head as usize
+            } else {
+                (st.head as usize + st.fill as usize) % len
+            };
+            let first = (len - start).min(n);
+            for (slot, &x) in ring[start..start + first].iter_mut().zip(samples) {
+                *slot = P::from_f64(x);
+            }
+            for (slot, &x) in ring.iter_mut().zip(&samples[first..]) {
+                *slot = P::from_f64(x);
+            }
+            if full {
+                st.head = ((st.head as usize + n) % len) as u32;
+                st.since_emit += n as u32;
+            } else {
+                st.fill += n as u32;
+            }
+            self.slots[i].kind = SlotKind::Empty;
+        }
+        self.channel_seq[ci] += n as u64;
     }
 
     /// [`push_samples`](Self::push_samples) with an [`ExecProbe`].

@@ -66,7 +66,15 @@ pub fn frequency_to_bin(freq_hz: f64, n: usize, sample_rate_hz: f64) -> usize {
 
 /// Number of bit-reversal swaps a `len`-point plan performs — the exact
 /// count [`for_each_swap`] will emit, for sizing caller-owned storage.
+///
+/// For a power of two `2^k` that is every index except the `2^⌈k/2⌉`
+/// bit palindromes, halved because each swap pairs two indices, so the
+/// count costs nothing even at lengths no plan could hold.
 pub fn swap_count(len: usize) -> usize {
+    if len.is_power_of_two() {
+        let bits = len.trailing_zeros();
+        return (len - (1usize << bits.div_ceil(2))) / 2;
+    }
     let mut count = 0;
     for_each_swap(len, |_, _| count += 1);
     count
@@ -246,7 +254,7 @@ mod tests {
 
     #[test]
     fn counts_match_enumerations() {
-        for n in [1usize, 2, 4, 8, 64, 256] {
+        for n in (0..14).map(|k| 1usize << k) {
             assert_eq!(swap_list(n).len(), swap_count(n));
             assert_eq!(table(n, -1.0).len(), twiddle_count(n));
         }

@@ -16,7 +16,7 @@
 
 use crate::exec::McuExecError;
 use crate::fft;
-use crate::image::{McuImage, NodeKind, NodeSpec, PortSource, MAX_NODES};
+use crate::image::{McuImage, NodeKind, PortSource, MAX_NODES};
 use core::ops::Range;
 
 /// The seven fixed arenas a [`McuCore`](crate::McuCore) carves at load.
@@ -156,12 +156,16 @@ impl ImageFootprint {
     }
 
     /// Total bytes across all arenas for the given sample-payload
-    /// width — the RAM the carved program actually occupies.
+    /// width — the RAM the carved program actually occupies. Saturates,
+    /// like the element counts it sums.
     pub fn total_bytes(&self, sample_bytes: usize) -> usize {
-        ArenaKind::ALL
-            .iter()
-            .map(|&k| self.arena(k).elements * k.element_bytes(sample_bytes))
-            .sum()
+        ArenaKind::ALL.iter().fold(0usize, |total, &k| {
+            total.saturating_add(
+                self.arena(k)
+                    .elements
+                    .saturating_mul(k.element_bytes(sample_bytes)),
+            )
+        })
     }
 }
 
@@ -258,11 +262,11 @@ fn plan_twiddle_cap(n: usize) -> usize {
 /// Checks node `node`'s parameters and sizes its buffers, given its
 /// incoming payload length: the one map from a [`NodeKind`] to arena
 /// sizes.
-fn node_plan(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodePlan, McuExecError> {
+fn node_plan(node: u16, kind: &NodeKind, in_len: usize) -> Result<NodePlan, McuExecError> {
     let mut c = NodeCarve::default();
     let mut out_len = 0;
     let mut spectral_out = false;
-    match spec.kind {
+    match *kind {
         NodeKind::Window { size, hop, .. } => {
             if size == 0 || hop == 0 || hop > size {
                 return Err(McuExecError::BadParameter {
@@ -381,15 +385,11 @@ pub fn check_fit(image: &McuImage, cap: usize) -> Result<ImageFootprint, McuExec
     carve(image, cap, |_, _| {})
 }
 
-/// The load-order walk: sizes each node with `node_plan`, places its
-/// buffers at the running per-arena totals, hands the placed spans to
-/// `place` (with the node's dense index) and tallies the footprint.
-///
-/// Every sum saturates, so a program too large for the address space
-/// reaches `usize::MAX` elements (an overflow against any real `cap`)
-/// instead of wrapping to a small total that would seem to fit. The
-/// spans handed to `place` are meaningful only when the walk returns
-/// `Ok`.
+/// The load-order walk: sizes each node of `image` with `node_plan`,
+/// places its buffers at the running per-arena totals, hands the placed
+/// spans to `place` (with the node's dense index) and tallies the
+/// footprint. The per-node step is [`FootprintWalk`]'s. The spans
+/// handed to `place` are meaningful only when the walk returns `Ok`.
 ///
 /// # Errors
 ///
@@ -401,18 +401,88 @@ pub(crate) fn carve(
     cap: usize,
     mut place: impl FnMut(usize, &NodeCarve),
 ) -> Result<ImageFootprint, McuExecError> {
-    let mut fp = ImageFootprint::default();
-    let mut overflow: Option<McuExecError> = None;
+    let mut walk = FootprintWalk::new(cap);
     let mut lens = [0usize; MAX_NODES];
     for (i, spec) in image.nodes().iter().enumerate() {
-        let node = i as u16;
         let in_len = match spec.sources[0] {
             PortSource::Channel(_) => 0,
             PortSource::Node(src) => lens[src as usize],
         };
-        let mut plan = node_plan(node, spec, in_len)?;
-        lens[i] = plan.out_len;
+        let (carve, out_len) = walk.step(&spec.kind, in_len, spec.consumer_mask != 0)?;
+        lens[i] = out_len;
+        place(i, &carve);
+    }
+    walk.finish()
+}
 
+/// The load-order walk one node at a time, for callers that hold no
+/// [`McuImage`]: the host loader sizes its node table with it, which has
+/// no [`MAX_NODES`] bound. Fed the nodes of an image in order, it
+/// computes exactly [`image_footprint`] / [`check_fit`].
+///
+/// Every sum saturates, so a program too large for the address space
+/// reaches `usize::MAX` elements (an overflow against any real `cap`)
+/// instead of wrapping to a small total that would seem to fit.
+#[derive(Debug, Clone)]
+pub struct FootprintWalk {
+    fp: ImageFootprint,
+    cap: usize,
+    /// The first arena crossing of `cap`, reported by `finish`.
+    overflow: Option<McuExecError>,
+    /// Dense index of the next node.
+    next: u16,
+}
+
+impl FootprintWalk {
+    /// An empty walk against arenas of `cap` elements each (`usize::MAX`
+    /// for a plain footprint).
+    pub const fn new(cap: usize) -> FootprintWalk {
+        FootprintWalk {
+            fp: ImageFootprint {
+                arenas: [ArenaUse {
+                    elements: 0,
+                    peak_node: 0,
+                    peak_elements: 0,
+                }; 7],
+            },
+            cap,
+            overflow: None,
+            next: 0,
+        }
+    }
+
+    /// Adds the next node in load order: `kind`, fed a payload of
+    /// `in_len` elements on its first port (0 for a channel), whose
+    /// payload is `consumed` by some later node (so staged on the MCU).
+    /// Returns the length of the payload the node emits, the `in_len` of
+    /// its consumers (0 for scalar producers).
+    ///
+    /// # Errors
+    ///
+    /// [`McuExecError::BadParameter`] when the node's parameters are
+    /// invalid, exactly as [`McuCore::load`](crate::McuCore::load)
+    /// rejects them.
+    pub fn push(
+        &mut self,
+        kind: &NodeKind,
+        in_len: usize,
+        consumed: bool,
+    ) -> Result<usize, McuExecError> {
+        self.step(kind, in_len, consumed)
+            .map(|(_, out_len)| out_len)
+    }
+
+    /// [`FootprintWalk::push`], also returning the node's placed spans.
+    fn step(
+        &mut self,
+        kind: &NodeKind,
+        in_len: usize,
+        consumed: bool,
+    ) -> Result<(NodeCarve, usize), McuExecError> {
+        let node = self.next;
+        self.next = self.next.saturating_add(1);
+        let mut plan = node_plan(node, kind, in_len)?;
+        let (fp, cap, overflow) = (&mut self.fp, self.cap, &mut self.overflow);
         let c = &mut plan.carve;
         let arenas: [(ArenaKind, &mut [&mut Span]); 5] = [
             (
@@ -437,12 +507,12 @@ pub(crate) fn carve(
                 elements = elements.saturating_add(span.cap());
             }
             arena.add(node, elements);
-            overflow = overflow.or(crossing(kind, arena, node, cap));
+            *overflow = overflow.or(crossing(kind, arena, node, cap));
         }
         // A consumed payload is copied through the matching staging
         // arena on every feed; unconsumed payloads (the OUT node's) are
         // never staged.
-        if spec.consumer_mask != 0 && plan.out_len > 0 {
+        if consumed && plan.out_len > 0 {
             let kind = if plan.spectral_out {
                 ArenaKind::StageSpectrum
             } else {
@@ -450,13 +520,22 @@ pub(crate) fn carve(
             };
             let arena = &mut fp.arenas[kind.index()];
             arena.stage(node, plan.out_len);
-            overflow = overflow.or(crossing(kind, arena, node, cap));
+            *overflow = overflow.or(crossing(kind, arena, node, cap));
         }
-        place(i, &plan.carve);
+        Ok((plan.carve, plan.out_len))
     }
-    match overflow {
-        Some(err) => Err(err),
-        None => Ok(fp),
+
+    /// The footprint of the nodes pushed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`McuExecError::ArenaOverflow`] naming the first node and arena
+    /// to cross the walk's `cap`.
+    pub fn finish(self) -> Result<ImageFootprint, McuExecError> {
+        match self.overflow {
+            Some(err) => Err(err),
+            None => Ok(self.fp),
+        }
     }
 }
 

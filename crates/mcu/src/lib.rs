@@ -44,7 +44,9 @@ pub use complex::Complex;
 pub use exec::{
     ExecProbe, HighWaterProbe, McuCore, McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA,
 };
-pub use footprint::{check_fit, image_footprint, ArenaKind, ArenaUse, ImageFootprint};
+pub use footprint::{
+    check_fit, image_footprint, ArenaKind, ArenaUse, FootprintWalk, ImageFootprint,
+};
 pub use image::{
     CapacityError, ImageBuilder, ImageError, McuImage, NodeKind, NodeSpec, PortSource, StatKind,
 };

@@ -117,6 +117,33 @@ impl WindowShape {
     }
 }
 
+/// How many more samples a streaming windower can take before one of
+/// them completes a window: the samples that only fill its ring.
+///
+/// The state is the one both windowers keep: `len` and `hop` are the
+/// geometry, `fill` the samples buffered, `primed` whether a sliding
+/// (`hop < len`) windower has emitted its first window, and `since_emit`
+/// the samples pushed since that last emission. With `hop == len` the
+/// ring empties at every emission, so the next window is `len - fill`
+/// samples away; so is the first window of a sliding windower. A primed
+/// sliding windower holds a full ring and emits every `hop` samples.
+///
+/// Pushing the returned count leaves the windower one sample short of
+/// an emission; the sample after them is the one that emits.
+pub const fn quiet_len(
+    len: usize,
+    hop: usize,
+    fill: usize,
+    primed: bool,
+    since_emit: usize,
+) -> usize {
+    if hop == len || !primed {
+        len - 1 - fill
+    } else {
+        hop - 1 - since_emit
+    }
+}
+
 impl core::fmt::Display for WindowShape {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let name = match self {

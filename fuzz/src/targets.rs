@@ -120,13 +120,16 @@ fn pick_program(data: &[u8]) -> Program {
 /// Differential ingestion: one batched `push_samples` call must be
 /// bit-identical — same wakes, same order, same result bits — to
 /// pushing the same samples one at a time, on every channel the
-/// program reads.
+/// program reads. The serial side runs the dense scan, which passes
+/// every sample through the whole program, so the batch's window fill
+/// is checked against a pass per sample.
 pub fn ingest_differential(data: &[u8]) {
     let program = pick_program(data);
     let samples = sample_schedule(data);
     let rates = ChannelRates::default();
     let mut batched = HubRuntime::load(&program, &rates).expect("fixture loads");
     let mut serial = HubRuntime::load(&program, &rates).expect("fixture loads");
+    serial.force_dense_scan();
     for channel in program.channels() {
         let batch_wakes: Vec<_> = batched
             .push_samples(channel, &samples)
